@@ -1,6 +1,7 @@
 #include "sim/ooo_core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/error.hpp"
 
@@ -59,46 +60,37 @@ OooCore::OooCore(const CoreConfig& cfg, MemoryHierarchy* mem,
       mem_(mem ? mem : owned_mem_.get()),
       rename_table_(static_cast<std::size_t>(cfg.arch_int_regs + cfg.arch_fp_regs),
                     kNoDep),
-      issue_queues_(kNumIqClasses),
       int_pool_(cfg.int_units),
       fp_pool_(cfg.fp_units),
       ls_pool_(cfg.ls_units),
       br_pool_(cfg.br_units),
       cr_pool_(cfg.cr_units) {
-  RAMP_REQUIRE(cfg.rob_size > 0 && cfg.dispatch_group > 0 && cfg.fetch_width > 0,
+  RAMP_REQUIRE(cfg.rob_size > 0 && cfg.dispatch_group > 0 &&
+                   cfg.fetch_width > 0 && cfg.fetch_buffer > 0,
                "pipeline widths must be positive");
   RAMP_REQUIRE(cfg.int_rename_budget() > 0 && cfg.fp_rename_budget() > 0,
                "physical register files must exceed architectural state");
+  // At least one 64-bit word of armed bits per issue queue.
+  std::size_t ring = 64;
+  while (ring < static_cast<std::size_t>(cfg.rob_size)) ring <<= 1;
+  rob_.resize(ring);
+  ready_at_.resize(ring);
+  rob_mask_ = ring - 1;
+  for (auto& q : issue_queues_) q.armed.assign(ring / 64, 0);
+  fetch_ring_.resize(std::bit_ceil(static_cast<std::size_t>(cfg.fetch_buffer)));
 }
 
-bool OooCore::dep_satisfied(std::uint64_t dep) const {
-  if (dep == kNoDep) return true;
-  if (dep < rob_base_seq_) return true;  // producer already retired
-  const Flight* f = find_flight(dep);
-  return f == nullptr || (f->completed && f->complete_cycle <= cycle_);
-}
-
-std::uint64_t OooCore::ready_at_of(const Flight& f) const {
-  std::uint64_t ready = 0;
-  for (const std::uint64_t dep : {f.dep1, f.dep2}) {
-    if (dep == kNoDep || dep < rob_base_seq_) continue;  // no/retired producer
-    const Flight* p = find_flight(dep);
-    if (p == nullptr) continue;
-    if (!p->issued) return kReadyUnknown;  // completion time not fixed yet
-    ready = std::max(ready, p->complete_cycle);
+void OooCore::issue_flight(std::size_t slot) {
+  Flight& p = rob_[slot];
+  p.issued = true;
+  for (std::uint64_t link = p.waiters; link != kNoLink;) {
+    const std::size_t c = (link >> 1) & rob_mask_;
+    Flight& consumer = rob_[c];
+    ready_at_[c] = std::max(ready_at_[c], p.complete_cycle);
+    if (--consumer.pending == 0) arm(c, consumer.iq);
+    link = consumer.next_waiter[link & 1];
   }
-  return ready;
-}
-
-OooCore::Flight* OooCore::find_flight(std::uint64_t seq) {
-  if (seq < rob_base_seq_) return nullptr;
-  const std::uint64_t off = seq - rob_base_seq_;
-  if (off >= rob_.size()) return nullptr;
-  return &rob_[off];
-}
-
-const OooCore::Flight* OooCore::find_flight(std::uint64_t seq) const {
-  return const_cast<OooCore*>(this)->find_flight(seq);
+  p.waiters = kNoLink;
 }
 
 int OooCore::exec_latency(OpClass op) const {
@@ -119,16 +111,16 @@ int OooCore::exec_latency(OpClass op) const {
 void OooCore::do_retire() {
   int retired = 0;
   const int budget = cfg_.retire_groups * cfg_.dispatch_group;
-  while (retired < budget && !rob_.empty()) {
-    Flight& head = rob_.front();
-    if (!head.completed || head.complete_cycle > cycle_) break;
+  while (retired < budget && rob_count() > 0) {
+    const Flight& head = rob_[rob_base_seq_ & rob_mask_];
+    if (!head.issued || head.complete_cycle > cycle_) break;
     if (head.produces_int) --int_regs_in_use_;
     if (head.produces_fp) --fp_regs_in_use_;
     if (head.in_mem_queue) --mem_queue_used_;
-    if (!inflight_stores_.empty() && inflight_stores_.front().first == head.seq) {
+    if (!inflight_stores_.empty() &&
+        inflight_stores_.front().first == rob_base_seq_) {
       inflight_stores_.pop_front();
     }
-    rob_.pop_front();
     ++rob_base_seq_;
     ++retired;
     ++iv_retired_;
@@ -150,9 +142,11 @@ void OooCore::do_complete() {
     // The stalling branch may still sit in the fetch buffer (not dispatched,
     // so not yet in the ROB); it cannot have resolved in that case.
     if (stalled_on_branch_seq_ >= next_seq_) return;
-    const Flight* br = find_flight(stalled_on_branch_seq_);
+    const Flight* br = stalled_on_branch_seq_ < rob_base_seq_
+                           ? nullptr  // already retired
+                           : &rob_[stalled_on_branch_seq_ & rob_mask_];
     const bool resolved =
-        br == nullptr || (br->completed && br->complete_cycle <= cycle_);
+        br == nullptr || (br->issued && br->complete_cycle <= cycle_);
     if (resolved) {
       const std::uint64_t resolve_cycle =
           br == nullptr ? cycle_ : br->complete_cycle;
@@ -177,102 +171,106 @@ void OooCore::do_issue() {
   }};
 
   for (int c = 0; c < kNumIqClasses; ++c) {
-    auto& queue = issue_queues_[static_cast<std::size_t>(c)];
+    IssueQueue& queue = issue_queues_[static_cast<std::size_t>(c)];
     UnitPool& pool = *pools[static_cast<std::size_t>(c)].pool;
     int slots = pool.available(cycle_);
-    if (slots == 0 || queue.empty()) continue;
+    if (slots == 0 || queue.size == 0) continue;
 
-    // Oldest-first ready scan. Entries with a cached future ready_at are
-    // skipped on one compare; unknown entries re-derive it from the ROB
-    // (same cost the unconditional dep walk used to pay every cycle).
-    for (std::size_t qi = 0; qi < queue.size() && slots > 0;) {
-      IqEntry& e = queue[qi];
-      if (e.ready_at == kReadyUnknown) {
-        const Flight* pf = find_flight(e.seq);
-        RAMP_ASSERT(pf != nullptr && !pf->issued);
-        e.ready_at = ready_at_of(*pf);
-      }
-      if (e.ready_at == kReadyUnknown || e.ready_at > cycle_) {
-        ++qi;
-        continue;
-      }
-      Flight* f = find_flight(e.seq);
-      RAMP_ASSERT(f != nullptr && !f->issued);
+    // Oldest-first select: walk the armed bits in ring order from the ROB
+    // head, word by word, ending with the head word's bits below the head.
+    // Issuing can arm younger consumers; they are not ready this cycle.
+    const std::size_t words = queue.armed.size();
+    const std::size_t head = rob_base_seq_ & rob_mask_;
+    const std::uint64_t from_head = ~0ULL << (head & 63);
+    for (std::size_t pass = 0; pass <= words && slots > 0; ++pass) {
+      const std::size_t w = ((head >> 6) + pass) & (words - 1);
+      std::uint64_t bits = queue.armed[w];
+      if (pass == 0) bits &= from_head;
+      if (pass == words) bits &= ~from_head;
+      while (bits != 0 && slots > 0) {
+        const std::size_t slot = (w << 6) | static_cast<std::size_t>(
+                                                std::countr_zero(bits));
+        bits &= bits - 1;
+        if (ready_at_[slot] > cycle_) continue;
+        const std::uint64_t seq =
+            rob_base_seq_ + ((slot - head) & rob_mask_);
+        Flight& f = rob_[slot];
+        RAMP_ASSERT(!f.issued);
 
-      if (f->op == OpClass::kLoad || f->op == OpClass::kStore) {
-        // Store-to-load forwarding: a load whose 8-byte word is produced by
-        // an older in-flight store bypasses the cache entirely.
-        if (cfg_.enable_store_forwarding && f->op == OpClass::kLoad) {
-          const std::uint64_t word = f->mem_addr & ~7ULL;
-          bool forwarded = false;
-          for (auto it = inflight_stores_.rbegin();
-               it != inflight_stores_.rend(); ++it) {
-            if (it->first >= f->seq) continue;  // younger store: no forward
-            if (it->second == word) {
-              forwarded = true;
-              break;
+        if (f.op == OpClass::kLoad || f.op == OpClass::kStore) {
+          // Store-to-load forwarding: a load whose 8-byte word is produced by
+          // an older in-flight store bypasses the cache entirely.
+          if (cfg_.enable_store_forwarding && f.op == OpClass::kLoad) {
+            const std::uint64_t word = f.mem_addr & ~7ULL;
+            bool forwarded = false;
+            for (auto it = inflight_stores_.rbegin();
+                 it != inflight_stores_.rend(); ++it) {
+              if (it->first >= seq) continue;  // younger store: no forward
+              if (it->second == word) {
+                forwarded = true;
+                break;
+              }
+            }
+            if (forwarded) {
+              f.complete_cycle = cycle_ + 2;  // bypass latency
+              pool.claim(cycle_, 1);
+              queue.armed[w] &= ~(1ULL << (slot & 63));
+              --queue.size;
+              issue_flight(slot);
+              ++iv_ls_issued_;
+              --slots;
+              continue;
             }
           }
-          if (forwarded) {
-            f->complete_cycle = cycle_ + 2;  // bypass latency
-            pool.claim(cycle_, 1);
-            f->issued = true;
-            f->completed = true;
-            ++iv_ls_issued_;
-            --slots;
-            queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(qi));
-            continue;
+          // Loads that will miss need an MSHR slot; since hit/miss is known
+          // only at access time, conservatively require a free slot for loads
+          // whenever the cap is reached.
+          if (f.op == OpClass::kLoad && mem_->miss_ports_full()) continue;
+          const int lat =
+              mem_->data_access(f.mem_addr, f.op == OpClass::kStore);
+          if (f.op == OpClass::kLoad) {
+            f.complete_cycle = cycle_ + static_cast<std::uint64_t>(lat);
+            if (lat > cfg_.lat_l1d) {
+              mem_->add_outstanding_miss();
+              miss_fill_events_.push(f.complete_cycle);
+            }
+          } else {
+            // Stores complete through the store queue one cycle after issue;
+            // the write drains post-retirement and is not modeled for timing.
+            f.complete_cycle = cycle_ + 1;
           }
-        }
-        // Loads that will miss need an MSHR slot; since hit/miss is known
-        // only at access time, conservatively require a free slot for loads
-        // whenever the cap is reached.
-        if (f->op == OpClass::kLoad && mem_->miss_ports_full()) {
-          ++qi;
-          continue;
-        }
-        const int lat = mem_->data_access(f->mem_addr, f->op == OpClass::kStore);
-        if (f->op == OpClass::kLoad) {
-          f->complete_cycle = cycle_ + static_cast<std::uint64_t>(lat);
-          if (lat > cfg_.lat_l1d) {
-            mem_->add_outstanding_miss();
-            miss_fill_events_.push(f->complete_cycle);
-          }
+          pool.claim(cycle_, 1);
         } else {
-          // Stores complete through the store queue one cycle after issue;
-          // the write drains post-retirement and is not modeled for timing.
-          f->complete_cycle = cycle_ + 1;
+          const int lat = exec_latency(f.op);
+          f.complete_cycle = cycle_ + static_cast<std::uint64_t>(lat);
+          // Divides are unpipelined and occupy their unit for the full
+          // latency; everything else accepts a new op next cycle.
+          const bool unpipelined =
+              f.op == OpClass::kIntDiv || f.op == OpClass::kFpDiv;
+          pool.claim(cycle_, unpipelined ? static_cast<std::uint64_t>(lat) : 1);
         }
-        pool.claim(cycle_, 1);
-      } else {
-        const int lat = exec_latency(f->op);
-        f->complete_cycle = cycle_ + static_cast<std::uint64_t>(lat);
-        // Divides are unpipelined and occupy their unit for the full
-        // latency; everything else accepts a new op next cycle.
-        const bool unpipelined =
-            f->op == OpClass::kIntDiv || f->op == OpClass::kFpDiv;
-        pool.claim(cycle_, unpipelined ? static_cast<std::uint64_t>(lat) : 1);
-      }
 
-      f->issued = true;
-      f->completed = true;  // completion time recorded in complete_cycle
-      ++*pools[static_cast<std::size_t>(c)].counter;
-      --slots;
-      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(qi));
+        queue.armed[w] &= ~(1ULL << (slot & 63));
+        --queue.size;
+        issue_flight(slot);
+        ++*pools[static_cast<std::size_t>(c)].counter;
+        --slots;
+      }
     }
   }
 }
 
 void OooCore::do_dispatch() {
   int dispatched = 0;
-  while (dispatched < cfg_.dispatch_group && !fetch_buffer_.empty()) {
-    const Instruction& ins = fetch_buffer_.front();
+  const std::size_t fetch_mask = fetch_ring_.size() - 1;
+  while (dispatched < cfg_.dispatch_group && fetch_count_ > 0) {
+    const Instruction& ins = fetch_ring_[fetch_head_];
     const IqClass iqc = iq_class_of(ins.op);
     auto& queue = issue_queues_[static_cast<std::size_t>(iqc)];
 
     // Structural stalls: ROB, issue queue, rename budget, memory queue.
-    if (rob_.size() >= static_cast<std::size_t>(cfg_.rob_size)) break;
-    if (queue.size() >= static_cast<std::size_t>(cfg_.issue_queue_per_class)) break;
+    if (rob_count() >= static_cast<std::uint64_t>(cfg_.rob_size)) break;
+    if (queue.size >= cfg_.issue_queue_per_class) break;
     const bool produces = ins.dst != Instruction::kNoReg;
     const bool fp_dest = produces && ins.dst >= cfg_.arch_int_regs;
     if (produces && !fp_dest && int_regs_in_use_ >= cfg_.int_rename_budget()) break;
@@ -280,19 +278,35 @@ void OooCore::do_dispatch() {
     const bool is_mem = trace::is_memory(ins.op);
     if (is_mem && mem_queue_used_ >= cfg_.mem_queue) break;
 
-    Flight f;
+    const std::uint64_t seq = next_seq_++;
+    const std::size_t slot = seq & rob_mask_;
+    Flight& f = rob_[slot];
+    f = Flight{};
     f.op = ins.op;
-    f.seq = next_seq_++;
+    f.iq = iqc;
     f.mem_addr = ins.mem_addr;
-    auto lookup = [&](std::uint16_t reg) -> std::uint64_t {
-      if (reg == Instruction::kNoReg) return kNoDep;
+    ready_at_[slot] = 0;
+    // Source operands, read before this instruction renames its own dest:
+    // an issued producer contributes its complete_cycle now, an unissued one
+    // gets this flight on its wakeup list, a retired one is skipped.
+    auto link = [&](std::uint16_t reg, std::uint64_t operand) {
+      if (reg == Instruction::kNoReg) return;
       RAMP_ASSERT(reg < rename_table_.size());
-      return rename_table_[reg];
+      const std::uint64_t dep = rename_table_[reg];
+      if (dep == kNoDep || dep < rob_base_seq_) return;
+      Flight& p = rob_[dep & rob_mask_];
+      if (p.issued) {
+        ready_at_[slot] = std::max(ready_at_[slot], p.complete_cycle);
+        return;
+      }
+      f.next_waiter[operand] = p.waiters;
+      p.waiters = (seq << 1) | operand;
+      ++f.pending;
     };
-    f.dep1 = lookup(ins.src1);
-    f.dep2 = lookup(ins.src2);
+    link(ins.src1, 0);
+    link(ins.src2, 1);
     if (produces) {
-      rename_table_[ins.dst] = f.seq;
+      rename_table_[ins.dst] = seq;
       f.produces_int = !fp_dest;
       f.produces_fp = fp_dest;
       if (fp_dest) {
@@ -305,14 +319,14 @@ void OooCore::do_dispatch() {
       f.in_mem_queue = true;
       ++mem_queue_used_;
       if (cfg_.enable_store_forwarding && ins.op == OpClass::kStore) {
-        inflight_stores_.emplace_back(f.seq, ins.mem_addr & ~7ULL);
+        inflight_stores_.emplace_back(seq, ins.mem_addr & ~7ULL);
       }
     }
 
-    queue.push_back(IqEntry{
-        f.seq, (f.dep1 == kNoDep && f.dep2 == kNoDep) ? 0 : kReadyUnknown});
-    rob_.push_back(f);
-    fetch_buffer_.pop_front();
+    ++queue.size;
+    if (f.pending == 0) arm(slot, iqc);
+    fetch_head_ = (fetch_head_ + 1) & fetch_mask;
+    --fetch_count_;
     ++dispatched;
     ++iv_dispatched_;
   }
@@ -324,7 +338,7 @@ void OooCore::do_fetch(trace::TraceReader& reader) {
   int fetched = 0;
   std::uint64_t last_line = ~0ULL;
   while (fetched < cfg_.fetch_width &&
-         fetch_buffer_.size() < static_cast<std::size_t>(cfg_.fetch_buffer)) {
+         fetch_count_ < static_cast<std::size_t>(cfg_.fetch_buffer)) {
     if (!pending_valid_) {
       if (trace_exhausted_ || !reader.next(pending_)) {
         trace_exhausted_ = true;
@@ -347,7 +361,8 @@ void OooCore::do_fetch(trace::TraceReader& reader) {
 
     const Instruction ins = pending_;
     pending_valid_ = false;
-    fetch_buffer_.push_back(ins);
+    fetch_ring_[(fetch_head_ + fetch_count_) & (fetch_ring_.size() - 1)] = ins;
+    ++fetch_count_;
     ++fetched;
     ++iv_fetched_;
 
@@ -358,7 +373,7 @@ void OooCore::do_fetch(trace::TraceReader& reader) {
         // The redirect happens when this branch resolves; remember its
         // (future) sequence number. It is the next instruction to dispatch
         // after everything already in the buffer.
-        stalled_on_branch_seq_ = next_seq_ + fetch_buffer_.size() - 1;
+        stalled_on_branch_seq_ = next_seq_ + fetch_count_ - 1;
         return;
       }
       if (ins.branch_taken) break;  // taken branches end the fetch group
@@ -397,7 +412,6 @@ void OooCore::finish_interval() {
   iv_start_cycle_ = cycle_;
   iv_fetched_ = iv_dispatched_ = iv_retired_ = 0;
   iv_int_issued_ = iv_fp_issued_ = iv_ls_issued_ = iv_br_issued_ = 0;
-  iv_rob_occupancy_sum_ = 0;
 }
 
 void OooCore::cycle_once(trace::TraceReader& reader) {
@@ -407,7 +421,6 @@ void OooCore::cycle_once(trace::TraceReader& reader) {
   do_dispatch();
   do_fetch(reader);
 
-  iv_rob_occupancy_sum_ += rob_.size();
   ++cycle_;
 
   // interval_cycles_ is 0 in step-driven mode: no chopping, the iv_*
@@ -437,7 +450,7 @@ SimResult OooCore::run(trace::TraceReader& reader,
 
     // Forward-progress guard: with finite latencies the ROB head must retire
     // within a bounded number of cycles; a longer stall is a model deadlock.
-    if (rob_base_seq_ != last_rob_base || rob_.empty()) {
+    if (rob_base_seq_ != last_rob_base || rob_count() == 0) {
       last_rob_base = rob_base_seq_;
       last_progress_cycle = cycle_;
     }

@@ -13,6 +13,7 @@
 // activity factors that the power model converts to Watts.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -70,21 +71,49 @@ class OooCore {
   const CoreConfig& config() const { return cfg_; }
 
  private:
-  // One in-flight instruction, identified by its dynamic sequence number.
+  static constexpr std::uint64_t kNoDep = ~0ULL;
+  static constexpr std::uint64_t kNoLink = ~0ULL;
+
+  enum class IqClass : std::uint8_t { kInt, kFp, kLs, kBr, kCr };
+  static constexpr int kNumIqClasses = 5;
+  static IqClass iq_class_of(trace::OpClass op);
+
+  // One in-flight instruction; it lives in the ROB ring at slot
+  // seq & rob_mask_.
+  //
+  // Wakeup lists: each Flight heads an intrusive list of the consumers that
+  // dispatched before it issued. A link names a consumer (seq << 1 |
+  // operand) and continues through that consumer's next_waiter[operand], so
+  // a consumer sits on at most two lists, one per source operand. At
+  // dispatch a consumer folds the complete_cycle of each already-issued
+  // producer into ready_at_[slot] and counts the rest in `pending`; each of
+  // those pushes its complete_cycle and decrements `pending` when it
+  // issues. At pending == 0, ready_at_[slot] is final and the flight is
+  // armed in its issue queue.
   struct Flight {
-    trace::OpClass op{};
-    std::uint64_t seq = 0;
-    std::uint64_t dep1 = kNoDep;  ///< producer sequence numbers
-    std::uint64_t dep2 = kNoDep;
     std::uint64_t mem_addr = 0;
-    std::uint64_t complete_cycle = 0;
+    std::uint64_t complete_cycle = 0;  ///< valid once issued
+    std::uint64_t waiters = kNoLink;   ///< head of the consumer list
+    std::array<std::uint64_t, 2> next_waiter{kNoLink, kNoLink};
+    trace::OpClass op{};
+    IqClass iq{};
+    std::uint8_t pending = 0;  ///< producers not issued yet
     bool issued = false;
-    bool completed = false;
     bool produces_int = false;
     bool produces_fp = false;
     bool in_mem_queue = false;
   };
-  static constexpr std::uint64_t kNoDep = ~0ULL;
+
+  // One issue queue per class. Armed flights (every producer issued) are
+  // bits in a mask over ROB slots; the oldest-first select walks the set
+  // bits in ring order from the ROB head — seq order — and reads only
+  // ready_at_ until it finds a flight to issue. Flights still waiting on a
+  // producer count against the capacity but sit only on their producers'
+  // wakeup lists.
+  struct IssueQueue {
+    std::vector<std::uint64_t> armed;  ///< one bit per ROB slot
+    int size = 0;                      ///< armed + waiting flights
+  };
 
   // Functional-unit pool for one op family.
   struct UnitPool {
@@ -94,22 +123,6 @@ class OooCore {
     // Claims a unit: occupied through `occupy` cycles (1 for pipelined ops).
     void claim(std::uint64_t now, std::uint64_t occupy);
   };
-
-  enum class IqClass : std::uint8_t { kInt, kFp, kLs, kBr, kCr };
-  static constexpr int kNumIqClasses = 5;
-  static IqClass iq_class_of(trace::OpClass op);
-
-  // Issue-queue entry: the flight's seq plus a cached earliest-ready cycle.
-  // ready_at stays kReadyUnknown while any producer is unissued; once every
-  // producer has issued its complete_cycle is fixed, so ready_at becomes
-  // max over producers' complete cycles and never changes again (producers
-  // retiring later cannot move it). The ready scan then skips a waiting
-  // entry with one compare instead of two ROB walks per cycle.
-  struct IqEntry {
-    std::uint64_t seq;
-    std::uint64_t ready_at;
-  };
-  static constexpr std::uint64_t kReadyUnknown = ~0ULL;
 
   // --- pipeline stages, called once per cycle in reverse order ---
   void do_retire();
@@ -121,17 +134,22 @@ class OooCore {
   /// One full pipeline cycle plus interval bookkeeping (shared by run and
   /// step).
   void cycle_once(trace::TraceReader& reader);
+  std::uint64_t rob_count() const { return next_seq_ - rob_base_seq_; }
   bool drained() const {
-    return trace_exhausted_ && !pending_valid_ && fetch_buffer_.empty() &&
-           rob_.empty();
+    return trace_exhausted_ && !pending_valid_ && fetch_count_ == 0 &&
+           rob_count() == 0;
   }
 
-  bool dep_satisfied(std::uint64_t dep) const;
-  /// Earliest cycle the flight's operands are all available, or
-  /// kReadyUnknown while a producer has not issued yet.
-  std::uint64_t ready_at_of(const Flight& f) const;
-  Flight* find_flight(std::uint64_t seq);
-  const Flight* find_flight(std::uint64_t seq) const;
+  /// Marks the flight at `slot` issued with its complete_cycle already set,
+  /// and pushes that cycle to every consumer on its wakeup list.
+  void issue_flight(std::size_t slot);
+  /// Marks the flight at `slot`, whose producers have all issued, as a
+  /// select candidate in its issue queue.
+  void arm(std::size_t slot, IqClass iq) {
+    issue_queues_[static_cast<std::size_t>(iq)].armed[slot >> 6] |=
+        1ULL << (slot & 63);
+  }
+
   int exec_latency(trace::OpClass op) const;
   void finish_interval();
 
@@ -142,8 +160,20 @@ class OooCore {
   BranchPredictor* predictor_ = nullptr;
   MemoryHierarchy* mem_ = nullptr;
 
-  // ROB as a ring: rob_[seq - rob_base_seq_] for in-flight seq numbers.
-  std::deque<Flight> rob_;
+  // ROB as a power-of-two ring indexed by seq & rob_mask_; in flight are
+  // seqs [rob_base_seq_, next_seq_).
+  //
+  // ready_at_ is the hot issue-scan state beside the ring: per slot, the
+  // max complete_cycle over the flight's issued producers. It is exact:
+  // producers retired before a consumer dispatches are skipped, and a
+  // producer that retires later stays folded in. Neither changes a
+  // decision: a retired producer has complete_cycle <= cycle_, and
+  // ready_at_ is only ever compared as ready_at_ > cycle_. Every latency is
+  // >= 1, so a producer that issues this cycle never readies a consumer in
+  // the same cycle.
+  std::vector<Flight> rob_;
+  std::vector<std::uint64_t> ready_at_;
+  std::uint64_t rob_mask_ = 0;
   std::uint64_t rob_base_seq_ = 0;  ///< seq of ROB head (oldest in flight)
   std::uint64_t next_seq_ = 0;      ///< seq for the next dispatched instr
 
@@ -153,11 +183,14 @@ class OooCore {
   int fp_regs_in_use_ = 0;
   int mem_queue_used_ = 0;
 
-  std::vector<std::vector<IqEntry>> issue_queues_;  ///< FIFO order
+  std::array<IssueQueue, kNumIqClasses> issue_queues_;
   UnitPool int_pool_, fp_pool_, ls_pool_, br_pool_, cr_pool_;
 
-  // Fetch state.
-  std::deque<trace::Instruction> fetch_buffer_;
+  // Fetch state. The fetch buffer is a power-of-two ring: fetch_count_
+  // instructions from fetch_head_, oldest first.
+  std::vector<trace::Instruction> fetch_ring_;
+  std::size_t fetch_head_ = 0;
+  std::size_t fetch_count_ = 0;
   std::uint64_t fetch_resume_cycle_ = 0;  ///< stall until this cycle
   std::uint64_t stalled_on_branch_seq_ = kNoDep;  ///< unresolved mispredict
   bool trace_exhausted_ = false;
@@ -185,7 +218,6 @@ class OooCore {
   std::uint64_t iv_fp_issued_ = 0;
   std::uint64_t iv_ls_issued_ = 0;
   std::uint64_t iv_br_issued_ = 0;
-  std::uint64_t iv_rob_occupancy_sum_ = 0;
 
   SimResult result_;
   std::uint64_t interval_cycles_ = 0;

@@ -55,6 +55,7 @@ SyntheticTrace::SyntheticTrace(const GeneratorProfile& profile,
                                std::uint64_t length, std::uint64_t seed)
     : profile_(profile), length_(length), rng_(seed), mix_(profile.op_mix) {
   validate(profile_);
+  dep_distance_ = Geometric(profile_.dep_distance_p);
   stream_span_ = std::max<std::uint64_t>(
       profile_.hot_footprint_bytes /
           static_cast<std::uint64_t>(profile_.num_streams),
@@ -91,7 +92,7 @@ std::uint16_t SyntheticTrace::pick_source(bool fp) {
     return fp ? kFpRegBase : std::uint16_t{0};
   }
   // Geometric distance from the most recent producer; clamp into the window.
-  const std::uint64_t d = rng_.geometric(profile_.dep_distance_p);
+  const std::uint64_t d = dep_distance_(rng_);
   const std::uint64_t back = std::min<std::uint64_t>(d, recent.count - 1);
   return recent.buf[(recent.head + kRecentWindow - back) % kRecentWindow];
 }

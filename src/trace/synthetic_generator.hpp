@@ -105,6 +105,7 @@ class SyntheticTrace final : public TraceReader {
   std::uint64_t emitted_ = 0;
   Xoshiro256 rng_;
   AliasTable mix_;
+  Geometric dep_distance_{1.0};  ///< set from the validated profile
 
   // Split by register class so FP ops depend on FP producers.
   RecentRing recent_int_;

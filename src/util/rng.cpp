@@ -19,37 +19,19 @@ void Xoshiro256::reseed(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Xoshiro256::below(std::uint64_t n) {
-  RAMP_REQUIRE(n > 0, "below(n) needs n >= 1");
-  // Lemire's multiply-shift with rejection to remove modulo bias.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * n;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < n) {
-    const std::uint64_t threshold = (0 - n) % n;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * n;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::uint64_t Xoshiro256::geometric(double p) {
-  RAMP_REQUIRE(p > 0.0 && p <= 1.0, "geometric(p) needs p in (0, 1]");
-  if (p >= 1.0) return 0;
-  // Inverse-CDF: floor(ln(U) / ln(1-p)) with U in (0, 1].
-  const double u = 1.0 - uniform();  // (0, 1]
-  const double draws = std::floor(std::log(u) / std::log1p(-p));
-  return draws < 0.0 ? 0 : static_cast<std::uint64_t>(draws);
-}
+std::uint64_t Xoshiro256::geometric(double p) { return Geometric(p)(*this); }
 
 double Xoshiro256::normal() {
   // Box-Muller; u1 in (0,1] to keep log finite.
   const double u1 = 1.0 - uniform();
   const double u2 = uniform();
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+}
+
+Geometric::Geometric(double p) {
+  RAMP_REQUIRE(p > 0.0 && p <= 1.0, "geometric(p) needs p in (0, 1]");
+  certain_ = p >= 1.0;
+  log_q_ = certain_ ? 0.0 : std::log1p(-p);
 }
 
 void AliasTable::rebuild(std::span<const double> weights) {
@@ -88,12 +70,6 @@ void AliasTable::rebuild(std::span<const double> weights) {
   }
   for (std::uint32_t l : large) prob_[l] = 1.0;
   for (std::uint32_t s : small) prob_[s] = 1.0;  // numerical leftovers
-}
-
-std::size_t AliasTable::sample(Xoshiro256& rng) const {
-  RAMP_REQUIRE(!prob_.empty(), "sampling from an empty alias table");
-  const std::size_t i = static_cast<std::size_t>(rng.below(prob_.size()));
-  return rng.uniform() < prob_[i] ? i : alias_[i];
 }
 
 }  // namespace ramp
