@@ -1,14 +1,15 @@
 // Shared setup for the table/figure reproduction benches.
 //
 // Every bench regenerates one table or figure of the paper from the same
-// full sweep (16 apps × 5 nodes). The sweep result is cached on disk
-// (<out dir>/ramp_sweep_cache.csv) so the suite of benches pays for
-// simulation once. Environment overrides:
-//   RAMP_TRACE_LEN  instructions per synthetic trace (default 300000)
-//   RAMP_SEED       base RNG seed (default 42)
-//   RAMP_CACHE=off  recompute instead of using/writing the cache
-//   RAMP_JOBS       sweep worker threads (default: hardware concurrency)
-//   RAMP_OUT_DIR    directory for CSV exports and the cache (default out/)
+// full sweep (16 apps × 5 nodes). The sweep's stage store persists under
+// <out dir>/stage_cache, so the suite of benches pays for simulation once
+// (later benches read the 80 fit rows back); the sweep CSV lands in
+// <out dir>/ramp_sweep_cache.csv. Environment overrides:
+//   RAMP_TRACE_LEN    instructions per synthetic trace (default 300000)
+//   RAMP_SEED         base RNG seed (default 42)
+//   RAMP_STAGE_CACHE  off = memory-only (recompute), or another directory
+//   RAMP_JOBS         sweep worker threads (default: hardware concurrency)
+//   RAMP_OUT_DIR      directory for CSV exports and the store (default out/)
 #pragma once
 
 #include <algorithm>

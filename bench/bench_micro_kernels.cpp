@@ -397,7 +397,6 @@ fleet::FleetScenario fleet_bench_scenario(std::uint64_t chips) {
   fleet::FleetScenario sc = fleet::FleetScenario::preset("baseline");
   sc.chips = chips;
   sc.cell.trace_instructions = 2000;
-  sc.cell.cache_enabled = false;
   return sc;
 }
 

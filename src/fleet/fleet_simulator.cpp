@@ -103,6 +103,10 @@ FleetSimulator::FleetSimulator(FleetScenario scenario, Options opts)
     : scenario_(std::move(scenario)), opts_(std::move(opts)) {
   scenario_.validate();
   RAMP_REQUIRE(opts_.block_size >= 1, "block size must be at least 1");
+  if (opts_.stage_store == nullptr) {
+    opts_.stage_store = std::make_shared<pipeline::StageStore>(
+        pipeline::StageStore::Options{.dir = scenario_.cell.stage_cache_dir});
+  }
 }
 
 void FleetSimulator::prepare() const {

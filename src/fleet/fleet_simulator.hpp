@@ -118,8 +118,9 @@ class FleetSimulator {
   struct Options {
     std::size_t jobs = 1;        ///< pool size when not passing `pool`
     ThreadPool* pool = nullptr;  ///< externally owned pool (overrides jobs)
-    /// Shared per-stage memoization store for the physics cells; null = the
-    /// simulator follows scenario.cell.stage_cache_enabled (private store).
+    /// Shared per-stage memoization store for the physics cells; null = a
+    /// private store persisting under scenario.cell.stage_cache_dir
+    /// (memory-only when empty).
     std::shared_ptr<pipeline::StageStore> stage_store;
     /// Metrics destination; nullptr → obs::MetricsRegistry::global().
     obs::MetricsRegistry* registry = nullptr;

@@ -1,8 +1,8 @@
 // Consistent-hash ring over shard indices.
 //
-// The sharded front routes every eval request by its canonical cache key
-// (serve::request_key), so one key always lands on one shard — that shard's
-// LRU, persistent cache, and stage store own the key exclusively, and the
+// The sharded front routes every eval request by its trace-stage key
+// (net::eval_route_key), so one key always lands on one shard — that
+// shard's stage store owns every cell derived from it exclusively, and the
 // per-key single-flight guarantee holds fleet-wide. Consistent hashing (vs
 // `hash % N`) keeps the mapping stable under future shard-count changes:
 // resizing from N to N+1 moves ~1/(N+1) of the keyspace instead of nearly

@@ -18,12 +18,14 @@
 
 #include "net/event_loop.hpp"
 #include "net/hash_ring.hpp"
+#include "pipeline/stage_graph.hpp"
 #include "serve/json.hpp"
 #include "serve/metrics_merge.hpp"
 #include "serve/request.hpp"
 #include "serve/session.hpp"
 #include "serve/server.hpp"
 #include "util/error.hpp"
+#include "workloads/spec2k.hpp"
 
 namespace ramp::net {
 
@@ -258,14 +260,13 @@ struct Front {
       return;
     }
 
-    // The canonical cache key for evals; a stable line hash for ops that
-    // have no key. One key → one shard, always.
-    std::size_t shard;
-    if (req.op == serve::Op::kEval) {
-      shard = ring.shard_for(serve::request_key(req, opts.base_config));
-    } else {
-      shard = ring.shard_for(line);
-    }
+    // Evals route by their trace-stage key (app, effective trace length,
+    // seed), so an app's 180 nm base and the sims its nodes share live on
+    // one shard; ops without a key route by a stable line hash.
+    const std::size_t shard =
+        req.op == serve::Op::kEval
+            ? ring.shard_for(eval_route_key(req, opts.base_config))
+            : ring.shard_for(line);
 
     auto e = std::make_shared<Entry>();
     c.entries.push_back(e);
@@ -509,6 +510,15 @@ struct Front {
 };
 
 }  // namespace
+
+std::string eval_route_key(const serve::EvalRequest& req,
+                           const pipeline::EvaluationConfig& base) {
+  const workloads::Workload& w = workloads::workload(req.app);
+  const pipeline::EvaluationConfig cfg = req.effective_config(base);
+  return pipeline::trace_stage_key(
+             {w.name, w.profile, cfg.trace_instructions, cfg.seed})
+      .canonical;
+}
 
 int run_sharded_front(const ShardFrontOptions& opts,
                       const ShardMain& child_main) {

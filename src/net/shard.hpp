@@ -6,11 +6,12 @@
 //           exactly its own listener fd and runs a full net::Server over its
 //           own EvalService) → bind A:P → proxy client lines to shards.
 //
-// Routing is consistent-hash on the canonical request key
-// (serve::request_key, the same key the caches use — see hash_ring.hpp), so
-// each shard's LRU, persistent cache, and stage store own a disjoint slice
-// of the keyspace, and per-key single-flight coalescing holds across every
-// client of the whole front. Ops without a cache key (stats, fleet,
+// Evals route by consistent hash on their trace-stage key (eval_route_key,
+// see hash_ring.hpp): every cell of one (app, trace length, seed) — the
+// 180 nm base a pinned request needs, the sims two nodes share — lands on
+// one shard, so each shard's stage store owns a disjoint slice of the
+// keyspace and per-key single-flight coalescing holds across every client
+// of the whole front. Ops without a cache key (stats, fleet,
 // timeline, trace_dump) route by a stable hash of the raw line; `health`
 // is answered by the front itself (it owns the transport state); `metrics`
 // and `metrics_reset` fan out to *every* worker and the front merges the
@@ -39,6 +40,7 @@
 
 #include "net/socket.hpp"
 #include "pipeline/evaluator.hpp"
+#include "serve/request.hpp"
 
 namespace ramp::net {
 
@@ -49,7 +51,7 @@ struct ShardFrontOptions {
   std::size_t vnodes = 64;  ///< hash-ring smoothing (see hash_ring.hpp)
   std::size_t max_connections = 256;
   /// Base evaluation config — must match the workers' — so the front
-  /// computes the same canonical keys the shard caches use.
+  /// resolves the same effective trace length and seed they do.
   pipeline::EvaluationConfig base_config{};
   volatile std::sig_atomic_t* drain_flag = nullptr;
   /// Called once the front socket is bound and listening (port reporting).
@@ -60,6 +62,12 @@ struct ShardFrontOptions {
 /// directories!) and run a net::Server on the inherited listener. The
 /// return value becomes the worker's exit code.
 using ShardMain = std::function<int(std::size_t shard, OwnedFd listener)>;
+
+/// The key the front routes an eval request by: the canonical trace-stage
+/// key of its app at the effective trace length and seed under `base`.
+/// Requests differing only in node, sink or pinning share it.
+std::string eval_route_key(const serve::EvalRequest& req,
+                           const pipeline::EvaluationConfig& base);
 
 /// Forks the workers, then proxies until drained. Returns the front's exit
 /// code: 0 when the front and every worker drained cleanly.

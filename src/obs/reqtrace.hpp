@@ -45,7 +45,7 @@ enum class Phase : int {
   kParse,       ///< JSON parse + request validation
   kAdmission,   ///< admission control + cache probe + submit/shed decision
   kQueue,       ///< scheduled: submit → worker pickup; else head-of-line wait
-  kCache,       ///< persistent-cache probe on the worker
+  kCache,       ///< stage store answered on the worker, nothing computed
   kCompute,     ///< pipeline evaluation wall time on the worker
   kSerialize,   ///< response JSON build + dump
   kFlush,       ///< response enqueued → last byte written to the socket

@@ -1,6 +1,7 @@
 #include "pipeline/evaluator.hpp"
 
 #include <chrono>
+#include <filesystem>
 #include <optional>
 
 #include "obs/span.hpp"
@@ -19,7 +20,6 @@ EvaluationConfig EvaluationConfig::from_env(std::uint64_t trace_len) {
   RAMP_REQUIRE(cfg.trace_instructions > 0,
                "environment variable RAMP_TRACE_LEN must be positive");
   cfg.seed = env_u64("RAMP_SEED", 42);
-  cfg.cache_enabled = env_enabled("RAMP_CACHE");
   cfg.metrics_enabled = env_on_off("RAMP_METRICS", true);
   cfg.metrics_path = env_string("RAMP_METRICS_PATH").value_or("");
   const auto timeline = env_on_off_or_value("RAMP_TIMELINE");
@@ -32,9 +32,8 @@ EvaluationConfig EvaluationConfig::from_env(std::uint64_t trace_len) {
   if (const auto temp = env_double("RAMP_WATCHDOG_TEMP_K")) {
     cfg.watchdog.max_temp_k = *temp;
   }
-  const auto stage_cache = env_on_off_or_value("RAMP_STAGE_CACHE");
-  cfg.stage_cache_enabled = stage_cache.has_value();
-  cfg.stage_cache_dir = stage_cache.value_or("");
+  cfg.stage_cache_dir =
+      pipeline::stage_cache_dir(output_dir(), std::nullopt, true);
   if (const auto mode = env_string("RAMP_SIM_MODE")) {
     cfg.sim_mode = sim::parse_sim_mode(*mode);
   }
@@ -44,6 +43,20 @@ EvaluationConfig EvaluationConfig::from_env(std::uint64_t trace_len) {
   cfg.sampled.windows = env_u64("RAMP_SIM_WINDOWS", cfg.sampled.windows);
   cfg.sampled.validate();
   return cfg;
+}
+
+std::string stage_cache_dir(const std::string& out_dir,
+                            const std::optional<std::string>& flag,
+                            bool persist_by_default) {
+  const std::string fallback =
+      (std::filesystem::path(out_dir) / "stage_cache").string();
+  if (flag) return flag->empty() ? fallback : *flag;
+  if (!env_string("RAMP_STAGE_CACHE")) {
+    return persist_by_default ? fallback : "";
+  }
+  const auto env = env_on_off_or_value("RAMP_STAGE_CACHE");
+  if (!env) return "";
+  return env->empty() ? fallback : *env;
 }
 
 sim::SimMode resolved_sim_mode(const EvaluationConfig& cfg) {
@@ -73,17 +86,16 @@ Evaluator::Evaluator(EvaluationConfig cfg, std::shared_ptr<StageStore> store)
     : cfg_(std::move(cfg)), store_(std::move(store)) {
   RAMP_REQUIRE(cfg_.trace_instructions > 0, "trace length must be positive");
   RAMP_REQUIRE(cfg_.interval_seconds > 0.0, "interval must be positive");
-  if (store_ == nullptr && cfg_.stage_cache_enabled) {
-    StageStore::Options opts;
-    opts.dir = cfg_.stage_cache_dir;
-    store_ = std::make_shared<StageStore>(std::move(opts));
-  }
 }
 
 AppTechResult Evaluator::evaluate(const workloads::Workload& w,
                                   scaling::TechPoint tech_point,
-                                  double sink_target_k) const {
-  if (store_ != nullptr) return evaluate_staged(w, tech_point, sink_target_k);
+                                  double sink_target_k,
+                                  BlobStore::Outcome* fit_outcome) const {
+  if (store_ != nullptr) {
+    return evaluate_staged(w, tech_point, sink_target_k, fit_outcome);
+  }
+  if (fit_outcome != nullptr) *fit_outcome = BlobStore::Outcome::kComputed;
 
   // kTraceGen covers stream *construction* only: synthesis itself is
   // pull-driven per-instruction inside the simulator, so its cost is
@@ -103,9 +115,9 @@ AppTechResult Evaluator::evaluate(const workloads::Workload& w,
 // downstream hit (e.g. the whole fit row) never recomputes — or even looks
 // up — anything above it, and a second V/f point at the same (app, node)
 // reuses trace and sim outright.
-AppTechResult Evaluator::evaluate_staged(const workloads::Workload& w,
-                                         scaling::TechPoint tech_point,
-                                         double sink_target_k) const {
+AppTechResult Evaluator::evaluate_staged(
+    const workloads::Workload& w, scaling::TechPoint tech_point,
+    double sink_target_k, BlobStore::Outcome* fit_outcome) const {
   const scaling::TechnologyNode& tech = scaling::node(tech_point);
   using Clock = std::chrono::steady_clock;
   obs::Profiler& prof = obs::Profiler::global();
@@ -114,14 +126,8 @@ AppTechResult Evaluator::evaluate_staged(const workloads::Workload& w,
       w.name + "@" + std::string(scaling::tech_token(tech_point));
   const auto run_start = profile ? Clock::now() : Clock::time_point{};
 
-  const TraceStageIn tin{w.name, w.profile, cfg_.trace_instructions, cfg_.seed};
-  const StageKey tkey = trace_stage_key(tin);
-  const StageKey skey =
-      sim_stage_key(tkey, tech.frequency_hz, cfg_.interval_seconds,
-                    resolved_sim_mode(cfg_), cfg_.sampled);
-  const StageKey pkey = power_stage_key(skey, cfg_.power, w.power_bias, tech);
-  const StageKey hkey = thermal_stage_key(pkey, cfg_, tech, sink_target_k);
-  const StageKey fkey = fit_stage_key(hkey, tech);
+  const CellKeys keys = cell_keys(cfg_, w, tech_point, sink_target_k);
+  const StageKey& tkey = keys.trace;
 
   // Lazy memoized upstream getters: each stage materializes at most once,
   // and only when a downstream miss actually demands it.
@@ -129,7 +135,7 @@ AppTechResult Evaluator::evaluate_staged(const workloads::Workload& w,
   const auto get_sim = [&]() -> const SimStageOut& {
     if (!sim_out) {
       sim_out = store_->get_or_compute<SimStageOut>(
-          StageId::kSim, skey, [&]() -> SimStageOut {
+          StageId::kSim, keys.sim, [&]() -> SimStageOut {
             // Trace stage: resolve the spec through the store first, so
             // trace reuse is visible in the stage counters. The spec *is*
             // the canonical key — synthesis is pull-driven inside the
@@ -151,7 +157,7 @@ AppTechResult Evaluator::evaluate_staged(const workloads::Workload& w,
   const auto get_power = [&]() -> const PowerStageOut& {
     if (!power_out) {
       power_out = store_->get_or_compute<PowerStageOut>(
-          StageId::kPower, pkey, [&] {
+          StageId::kPower, keys.power, [&] {
             return run_power_stage(cfg_, tech, w.power_bias, get_sim().result,
                                    cell);
           });
@@ -162,7 +168,7 @@ AppTechResult Evaluator::evaluate_staged(const workloads::Workload& w,
   const auto get_thermal = [&]() -> const ThermalStageOut& {
     if (!thermal_out) {
       thermal_out = store_->get_or_compute<ThermalStageOut>(
-          StageId::kThermal, hkey, [&] {
+          StageId::kThermal, keys.thermal, [&] {
             return run_thermal_stage(cfg_, tech, sink_target_k, get_power(),
                                      cell);
           });
@@ -176,17 +182,21 @@ AppTechResult Evaluator::evaluate_staged(const workloads::Workload& w,
   const bool cache_fit = !cfg_.record_intervals && !cfg_.timeline_enabled;
   AppTechResult r;
   if (cache_fit) {
-    r = store_->get_or_compute<AppTechResult>(StageId::kFit, fkey, [&] {
-      AppTechResult fresh =
-          run_fit_stage(cfg_, tech, get_sim().result, get_power(),
-                        get_thermal(), cell);
-      fresh.app = w.name;
-      fresh.tech = tech_point;
-      return fresh;
-    });
+    r = store_->get_or_compute<AppTechResult>(
+        StageId::kFit, keys.fit,
+        [&] {
+          AppTechResult fresh =
+              run_fit_stage(cfg_, tech, get_sim().result, get_power(),
+                            get_thermal(), cell);
+          fresh.app = w.name;
+          fresh.tech = tech_point;
+          return fresh;
+        },
+        fit_outcome);
   } else {
     r = run_fit_stage(cfg_, tech, get_sim().result, get_power(), get_thermal(),
                       cell);
+    if (fit_outcome != nullptr) *fit_outcome = BlobStore::Outcome::kComputed;
   }
   r.app = w.name;
   r.tech = tech_point;

@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "sim/interval_stats.hpp"
 #include "sim/sim_mode.hpp"
 #include "thermal/rc_model.hpp"
+#include "util/blob_store.hpp"
 #include "workloads/spec2k.hpp"
 
 namespace ramp::pipeline {
@@ -42,9 +44,6 @@ struct EvaluationConfig {
   /// When true, AppTechResult::interval_trace records the per-interval
   /// transient (time, hottest temp, power, instantaneous FIT).
   bool record_intervals = false;
-  /// Whether the sweep may read/write its on-disk result cache. Does not
-  /// affect results, so it is excluded from config_hash.
-  bool cache_enabled = true;
   /// Mirror of the RAMP_METRICS switch (the obs registry/profiler read the
   /// variable themselves; this copy lets callers branch without re-parsing).
   /// Excluded from config_hash — metrics never affect results.
@@ -67,14 +66,11 @@ struct EvaluationConfig {
   std::string trace_out;
   /// Anomaly rules the watchdog applies when the timeline is enabled.
   obs::WatchdogRules watchdog{};
-  /// Content-addressed per-stage memoization (see stage_graph.hpp). When
-  /// true, an Evaluator constructed without an explicit StageStore creates
-  /// its own; stage outputs are reused across evaluations whose stage keys
-  /// match. Caching never changes results (staged output is byte-identical
-  /// to the monolithic path), so both fields are excluded from config_hash.
-  bool stage_cache_enabled = false;
-  /// Persist directory for the stage store; empty = in-memory only. At the
-  /// CLI layer a bare `--stage-cache` means "<out-dir>/stage_cache".
+  /// Persist directory of the content-addressed StageStore (see
+  /// stage_graph.hpp) that a SweepRunner, EvalService or FleetSimulator
+  /// creates when not handed one; empty = memory-only. The store is the
+  /// only result cache and never changes results, so this is excluded from
+  /// config_hash.
   std::string stage_cache_dir;
   /// Timing-simulation mode (see sim/sim_mode.hpp): detailed cycle-accurate
   /// OooCore (default), SMARTS-style sampled, the analytical interval
@@ -90,14 +86,14 @@ struct EvaluationConfig {
   /// The single place the environment overrides are read:
   ///   RAMP_TRACE_LEN     instructions per synthetic trace (default `trace_len`)
   ///   RAMP_SEED          base RNG seed (default 42)
-  ///   RAMP_CACHE=off     disable the sweep cache (default on)
   ///   RAMP_METRICS       strict on/off switch for the obs subsystem
   ///   RAMP_METRICS_PATH  where `--metrics` dumps land by default
   ///   RAMP_TIMELINE      off (default) / on / a directory to export into
   ///   RAMP_TIMELINE_POINTS  per-cell point budget (default 512, >= 2)
   ///   RAMP_TRACE_OUT     default Chrome-trace output file
   ///   RAMP_WATCHDOG_TEMP_K  over-temperature trip point (Kelvin)
-  ///   RAMP_STAGE_CACHE   off (default) / on (in-memory) / a persist directory
+  ///   RAMP_STAGE_CACHE   stage_cache_dir: unset or on (<RAMP_OUT_DIR>/
+  ///                      stage_cache), off (memory-only), or a directory
   ///   RAMP_SIM_MODE      detailed (default) / sampled / interval / auto
   ///   RAMP_SIM_PERIOD    sampled: instructions per sampling period
   ///   RAMP_SIM_WARMUP    sampled: detailed warm-up instructions per unit
@@ -109,6 +105,15 @@ struct EvaluationConfig {
   /// InvalidArgument instead of being silently replaced by the default.
   static EvaluationConfig from_env(std::uint64_t trace_len = 300'000);
 };
+
+/// The stage store's persist directory for a front-end whose artifacts go
+/// under `out_dir`: `flag` (a --stage-cache value, "" when bare) wins, then
+/// RAMP_STAGE_CACHE, then `persist_by_default`. A bare flag, an on-spelling
+/// or the default give <out_dir>/stage_cache, an off-spelling gives ""
+/// (memory-only), and any other value is the directory itself.
+std::string stage_cache_dir(const std::string& out_dir,
+                            const std::optional<std::string>& flag,
+                            bool persist_by_default);
 
 /// The concrete mode `auto` resolves to for this config: detailed below
 /// 1M trace instructions (where sampling neither pays off nor meets its
@@ -185,19 +190,21 @@ class StageStore;
 
 class Evaluator {
  public:
-  /// When `store` is null and `cfg.stage_cache_enabled` is set, the
-  /// evaluator creates a private StageStore from the config's stage-cache
-  /// fields; pass a shared store to reuse stage outputs across evaluators
-  /// (SweepRunner and serve::EvalService do).
+  /// With a null `store` every evaluation computes (the uncached path);
+  /// pass a shared store to reuse stage outputs across evaluators
+  /// (SweepRunner, serve::EvalService and FleetSimulator do).
   explicit Evaluator(EvaluationConfig cfg,
                      std::shared_ptr<StageStore> store = nullptr);
 
   /// Evaluates `w` at `tech`. When `sink_target_k > 0`, the sink-to-ambient
   /// resistance is calibrated so the steady-state sink temperature equals
   /// the target (the paper's constant-sink-temperature scaling rule);
-  /// otherwise the base 0.8 K/W resistance is used as-is.
+  /// otherwise the base 0.8 K/W resistance is used as-is. `fit_outcome`,
+  /// when non-null, receives how the fit stage was answered (kComputed
+  /// whenever no store row could answer it).
   AppTechResult evaluate(const workloads::Workload& w, scaling::TechPoint tech,
-                         double sink_target_k = 0.0) const;
+                         double sink_target_k = 0.0,
+                         BlobStore::Outcome* fit_outcome = nullptr) const;
 
   /// Evaluates `w` at every node: 180 nm first (pinning the app's sink
   /// temperature), then each scaled node holding that sink temperature.
@@ -214,13 +221,10 @@ class Evaluator {
 
   const EvaluationConfig& config() const { return cfg_; }
 
-  /// The stage store evaluations schedule against (null = memoization off).
-  const std::shared_ptr<StageStore>& stage_store() const { return store_; }
-
  private:
   AppTechResult evaluate_staged(const workloads::Workload& w,
-                                scaling::TechPoint tech,
-                                double sink_target_k) const;
+                                scaling::TechPoint tech, double sink_target_k,
+                                BlobStore::Outcome* fit_outcome) const;
 
   EvaluationConfig cfg_;
   std::shared_ptr<StageStore> store_;

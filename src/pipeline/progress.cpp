@@ -13,10 +13,6 @@ void StderrProgress::on_sweep_begin(std::size_t total_cells, std::size_t jobs) {
                jobs == 1 ? "" : "s");
 }
 
-void StderrProgress::on_cache_hit(const std::string& cache_path) {
-  std::fprintf(stderr, "[sweep] loaded cache %s\n", cache_path.c_str());
-}
-
 void StderrProgress::on_cell_finish(const SweepCell& cell,
                                     const AppTechResult& result,
                                     double wall_seconds) {

@@ -34,8 +34,6 @@ class ProgressObserver {
     (void)total_cells;
     (void)jobs;
   }
-  /// The sweep was answered from `cache_path` without running any cell.
-  virtual void on_cache_hit(const std::string& cache_path) { (void)cache_path; }
   /// A cell starts executing on a worker.
   virtual void on_cell_start(const SweepCell& cell) { (void)cell; }
   /// A cell finished after `wall_seconds`.
@@ -54,7 +52,6 @@ class ProgressObserver {
 class StderrProgress final : public ProgressObserver {
  public:
   void on_sweep_begin(std::size_t total_cells, std::size_t jobs) override;
-  void on_cache_hit(const std::string& cache_path) override;
   void on_cell_finish(const SweepCell& cell, const AppTechResult& result,
                       double wall_seconds) override;
   void on_sweep_end(double wall_seconds) override;

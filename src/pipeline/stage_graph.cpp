@@ -1,7 +1,7 @@
 #include "pipeline/stage_graph.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 #include "core/fit_tracker.hpp"
@@ -20,10 +20,13 @@ namespace ramp::pipeline {
 
 namespace {
 
+// printf("%.17g") byte for byte (to_chars with a precision is specified
+// that way) at a fraction of the cost: serve hits build two key chains.
 std::string fmt17(double v) {
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  const auto end = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, 17);
+  return std::string(buf, end.ptr);
 }
 
 std::uint64_t as_u64(std::int64_t v) {
@@ -167,6 +170,20 @@ StageKey fit_stage_key(const StageKey& thermal_key,
   h.mix(tech.linear_scale);
   h.mix(tech.relative_area);
   return {"fit.v1|up=(" + thermal_key.canonical + ")|cfg=" + h.hex()};
+}
+
+CellKeys cell_keys(const EvaluationConfig& cfg, const workloads::Workload& w,
+                   scaling::TechPoint tech_point, double sink_target_k) {
+  const scaling::TechnologyNode& tech = scaling::node(tech_point);
+  CellKeys k;
+  k.trace = trace_stage_key(
+      TraceStageIn{w.name, w.profile, cfg.trace_instructions, cfg.seed});
+  k.sim = sim_stage_key(k.trace, tech.frequency_hz, cfg.interval_seconds,
+                        resolved_sim_mode(cfg), cfg.sampled);
+  k.power = power_stage_key(k.sim, cfg.power, w.power_bias, tech);
+  k.thermal = thermal_stage_key(k.power, cfg, tech, sink_target_k);
+  k.fit = fit_stage_key(k.thermal, tech);
+  return k;
 }
 
 // ---- stage bodies ----------------------------------------------------------

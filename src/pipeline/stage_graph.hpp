@@ -9,9 +9,10 @@
 // chains), so equal keys imply bit-identical inputs with no digest-collision
 // loophole — the StageStore persists the whole key in every file header and
 // treats mismatches as misses. Field blocks inside a key are digested with
-// util::Fnv64 using the same frozen mixing discipline as the sweep cache's
-// config_hash: the mixing order below is part of the on-disk format, and
-// changing what a stage reads must bump that stage's version tag.
+// util::Fnv64 using the same frozen mixing discipline as config_hash (the
+// sweep CSV's header stamp): the mixing order below is part of the on-disk
+// format, and changing what a stage reads must bump that stage's version
+// tag.
 //
 // Key derivation (see docs/API_GUIDE.md "Stage graph & caching"):
 //   trace   app name, generator profile, trace_instructions, seed
@@ -43,6 +44,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -107,6 +109,15 @@ StageKey thermal_stage_key(const StageKey& power_key,
                            double sink_target_k);
 StageKey fit_stage_key(const StageKey& thermal_key,
                        const scaling::TechnologyNode& tech);
+
+/// The five stage keys of one (workload, node, sink target) cell under
+/// `cfg`: the chain the store-backed Evaluator resolves. The fit key is the
+/// cell's result key — every input that can change a result reaches it.
+struct CellKeys {
+  StageKey trace, sim, power, thermal, fit;
+};
+CellKeys cell_keys(const EvaluationConfig& cfg, const workloads::Workload& w,
+                   scaling::TechPoint tech, double sink_target_k = 0.0);
 
 // ---- stage outputs ---------------------------------------------------------
 
@@ -225,10 +236,12 @@ class StageStore {
 
   /// Returns the stage output for `key`, running `compute` on a miss.
   /// Single-flight per key; see BlobStore. T must have encode_payload /
-  /// decode_payload overloads above.
+  /// decode_payload overloads above. `outcome`, when non-null, receives how
+  /// the lookup was answered.
   template <typename T>
   T get_or_compute(StageId stage, const StageKey& key,
-                   const std::function<T()>& compute) {
+                   const std::function<T()>& compute,
+                   BlobStore::Outcome* outcome = nullptr) {
     obs::Profiler& prof = obs::Profiler::global();
     const bool timed = prof.enabled();
     const auto start = timed ? std::chrono::steady_clock::now()
@@ -268,6 +281,22 @@ class StageStore {
                   std::max(0.0, total - res.compute_seconds));
     }
     book(stage, res);
+    if (outcome != nullptr) *outcome = res.outcome;
+    return out;
+  }
+
+  /// The stage output for `key` when the memory tier holds it, else nullopt.
+  /// Never computes, reads the disk, or waits (see BlobStore::peek); a
+  /// found entry books a hit.
+  template <typename T>
+  std::optional<T> peek(StageId stage, const StageKey& key) {
+    const BlobStore::Blob blob = blobs_.peek(key.canonical);
+    if (blob == nullptr) return std::nullopt;
+    T out{};
+    RAMP_REQUIRE(decode_payload(*blob, out),
+                 "stage store holds an undecodable " +
+                     std::string(stage_id_name(stage)) + " payload");
+    meters_[static_cast<std::size_t>(stage)].hits.inc();
     return out;
   }
 

@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <future>
 #include <mutex>
 #include <sstream>
 
-#include <unistd.h>
-
 #include "core/qualification.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "pipeline/stage_graph.hpp"
@@ -148,33 +144,6 @@ std::uint64_t config_hash(const EvaluationConfig& cfg) {
   return h.value();
 }
 
-std::string canonical_config(const EvaluationConfig& cfg) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "trace=" << cfg.trace_instructions << ";seed=" << cfg.seed
-      << ";interval=" << cfg.interval_seconds << ";power=";
-  for (double w : cfg.power.unconstrained_w_180nm) out << w << ',';
-  out << cfg.power.clock_gating_floor << ',' << cfg.power.leakage_beta << ','
-      << cfg.power.leakage_ref_temp << ',' << cfg.power.base_core_area_mm2
-      << ";thermal=" << cfg.thermal.ambient_k << ','
-      << cfg.thermal.r_convec_k_per_w << ',' << cfg.thermal.r_vertical_specific
-      << ',' << cfg.thermal.r_spreader_sink << ',' << cfg.thermal.k_silicon
-      << ',' << cfg.thermal.die_thickness << ',' << cfg.thermal.c_silicon
-      << ',' << cfg.thermal.spreader_capacitance << ','
-      << cfg.thermal.sink_capacitance;
-  // Appended only for fast modes so detailed strings stay byte-identical.
-  const sim::SimMode mode = resolved_sim_mode(cfg);
-  if (mode != sim::SimMode::kDetailed) {
-    out << ";sim_mode=" << sim::sim_mode_name(mode);
-    if (mode == sim::SimMode::kSampled) {
-      out << ";period=" << cfg.sampled.period << ";warmup=" << cfg.sampled.warmup
-          << ";measure=" << cfg.sampled.measure
-          << ";windows=" << cfg.sampled.windows;
-    }
-  }
-  return out.str();
-}
-
 void write_result_row(std::ostream& out, const AppTechResult& r) {
   out << r.app << ',' << tech_index(r.tech) << ',' << r.ipc << ','
       << r.avg_dynamic_power_w << ',' << r.avg_leakage_power_w << ','
@@ -192,47 +161,6 @@ void write_result_row(std::ostream& out, const AppTechResult& r) {
   for (double a : r.run.avg_activity) out << ',' << a;
 }
 
-std::optional<AppTechResult> parse_result_row(const std::string& line) {
-  std::istringstream row(line);
-  std::string cell;
-  auto next = [&]() -> std::string {
-    if (!std::getline(row, cell, ',')) {
-      throw InvalidArgument("truncated result row");
-    }
-    return cell;
-  };
-  try {
-    AppTechResult r;
-    r.app = next();
-    r.tech = scaling::kAllTechPoints.at(static_cast<std::size_t>(std::stoi(next())));
-    r.ipc = std::stod(next());
-    r.avg_dynamic_power_w = std::stod(next());
-    r.avg_leakage_power_w = std::stod(next());
-    r.avg_total_power_w = std::stod(next());
-    r.max_structure_temp_k = std::stod(next());
-    r.sink_temp_k = std::stod(next());
-    r.avg_die_temp_k = std::stod(next());
-    r.max_activity = std::stod(next());
-    r.raw_fits.tc_fit = std::stod(next());
-    for (auto& srow : r.raw_fits.by_structure) {
-      for (double& v : srow) v = std::stod(next());
-    }
-    r.run.cycles = std::stoull(next());
-    r.run.instructions = std::stoull(next());
-    r.run.branches = std::stoull(next());
-    r.run.branch_mispredicts = std::stoull(next());
-    r.run.l1d_accesses = std::stoull(next());
-    r.run.l1d_misses = std::stoull(next());
-    r.run.l2_accesses = std::stoull(next());
-    r.run.l2_misses = std::stoull(next());
-    r.run.l1i_misses = std::stoull(next());
-    for (double& a : r.run.avg_activity) a = std::stod(next());
-    return r;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 std::string sweep_to_csv(const SweepResult& sweep) {
   std::ostringstream out;
   out.precision(17);
@@ -246,85 +174,7 @@ std::string sweep_to_csv(const SweepResult& sweep) {
   return out.str();
 }
 
-std::optional<SweepResult> sweep_from_csv(const std::string& csv,
-                                          const EvaluationConfig& expect_cfg) {
-  std::istringstream in(csv);
-  std::string line;
-  if (!std::getline(in, line)) return std::nullopt;
-  {
-    std::uint64_t hash = 0;
-    if (std::sscanf(line.c_str(), "# ramp_sweep_cache v1 hash=%llu",
-                    reinterpret_cast<unsigned long long*>(&hash)) != 1) {
-      return std::nullopt;
-    }
-    if (hash != config_hash(expect_cfg)) return std::nullopt;
-  }
-  SweepResult sweep;
-  sweep.config = expect_cfg;
-  if (!std::getline(in, line)) return std::nullopt;
-  if (std::sscanf(line.c_str(), "# constants em=%lf sm=%lf tddb=%lf tc=%lf",
-                  &sweep.constants.em, &sweep.constants.sm,
-                  &sweep.constants.tddb, &sweep.constants.tc) != 4) {
-    return std::nullopt;
-  }
-
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto r = parse_result_row(line);
-    if (!r) return std::nullopt;  // malformed cache — recompute
-    sweep.results.push_back(std::move(*r));
-  }
-  const std::size_t expected =
-      workloads::spec2k_suite().size() * scaling::kAllTechPoints.size();
-  if (sweep.results.size() != expected) return std::nullopt;
-  return sweep;
-}
-
 namespace {
-
-// Serializes access to the sweep cache file within this process; writes are
-// additionally atomic on disk (temp file + rename) so concurrently launched
-// processes sharing one cache path never read or produce a torn file.
-std::mutex& cache_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::optional<SweepResult> load_cache(const std::string& path,
-                                      const EvaluationConfig& cfg) {
-  const std::lock_guard<std::mutex> lock(cache_mutex());
-  std::ifstream f(path);
-  if (!f) return std::nullopt;
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return sweep_from_csv(buf.str(), cfg);
-}
-
-void store_cache(const std::string& path, const SweepResult& sweep) {
-  const std::lock_guard<std::mutex> lock(cache_mutex());
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path target = fs::absolute(fs::path(path), ec);
-  if (ec) return;
-  if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-  ec.clear();
-  // The temp file lives in the target directory so the rename cannot cross
-  // filesystems; the PID suffix keeps concurrent writers off each other.
-  fs::path tmp = target;
-  tmp += ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream f(tmp);
-    if (!f) return;
-    f << sweep_to_csv(sweep);
-    if (!f) {
-      f.close();
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  fs::rename(tmp, target, ec);  // atomic publish; best effort like before
-  if (ec) fs::remove(tmp, ec);
-}
 
 /// The canonical per-app node order of the serial sweep: 180 nm first (it
 /// pins the sink temperature), then the scaled nodes in paper order.
@@ -342,32 +192,13 @@ SweepRunner::SweepRunner(EvaluationConfig cfg, Options opts)
     : cfg_(std::move(cfg)), opts_(std::move(opts)) {
   RAMP_REQUIRE(opts_.pool != nullptr || opts_.jobs > 0,
                "SweepRunner needs at least one job");
-  if (opts_.stage_store == nullptr && cfg_.stage_cache_enabled) {
-    StageStore::Options store_opts;
-    store_opts.dir = cfg_.stage_cache_dir;
-    opts_.stage_store = std::make_shared<StageStore>(std::move(store_opts));
+  if (opts_.stage_store == nullptr) {
+    opts_.stage_store = std::make_shared<StageStore>(
+        StageStore::Options{.dir = cfg_.stage_cache_dir});
   }
 }
 
 SweepResult SweepRunner::run() const {
-  auto& reg = obs::MetricsRegistry::global();
-  const bool use_cache = cfg_.cache_enabled && !opts_.cache_path.empty();
-  // The cache stores result rows only — a cache hit would return cells with
-  // no timelines. Flight-recorder runs therefore skip the read (the sweep is
-  // re-evaluated so timelines exist) but still refresh the cache on the way
-  // out; the recorded results are bit-identical to a plain run.
-  const bool read_cache = use_cache && !cfg_.timeline_enabled;
-  if (read_cache) {
-    obs::Span cache_span(obs::Stage::kCache);
-    if (auto cached = load_cache(opts_.cache_path, cfg_)) {
-      reg.counter("ramp_sweep_cache_hits_total").inc();
-      cache_span.stop();
-      if (opts_.observer) opts_.observer->on_cache_hit(opts_.cache_path);
-      return *cached;
-    }
-    reg.counter("ramp_sweep_cache_misses_total").inc();
-  }
-
   SweepResult sweep;
   if (opts_.pool != nullptr) {
     sweep = execute(*opts_.pool);
@@ -375,11 +206,16 @@ SweepResult SweepRunner::run() const {
     ThreadPool pool(opts_.jobs);
     sweep = execute(pool);
   }
-
-  if (use_cache) {
-    obs::Span cache_span(obs::Stage::kCache);
-    store_cache(opts_.cache_path, sweep);
-    reg.counter("ramp_sweep_cache_writes_total").inc();
+  if (!opts_.cache_path.empty()) {
+    // Best effort, like every artifact nothing reads back. The lock keeps
+    // runners in this process off one temp file; the atomic rename keeps
+    // processes sharing the path from reading a torn one.
+    static std::mutex csv_mutex;
+    const std::lock_guard<std::mutex> lock(csv_mutex);
+    try {
+      obs::write_text_file_atomic(opts_.cache_path, sweep_to_csv(sweep));
+    } catch (const std::exception&) {
+    }
   }
   return sweep;
 }

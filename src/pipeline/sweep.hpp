@@ -6,15 +6,15 @@
 // suite averages with per-mechanism breakdown, and the worst-case ("max")
 // operating-condition curves of §5.2/§5.3.
 //
-// Because a sweep is the expensive step shared by every bench binary, the
-// result can be persisted to / restored from a small CSV cache keyed by a
-// hash of the configuration (set RAMP_CACHE=off to disable).
+// Every cell schedules against a pipeline::StageStore, the one result cache:
+// with a persistent store directory a rerun answers each cell from its
+// fit-stage row instead of recomputing. The finished sweep is written as
+// CSV (sweep_to_csv) — an output and the golden format, never read back.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +29,7 @@ namespace ramp::pipeline {
 
 class StageStore;
 
-/// Default sweep-cache location: "ramp_sweep_cache.csv" under the artifact
+/// Default sweep CSV location: "ramp_sweep_cache.csv" under the artifact
 /// output directory ($RAMP_OUT_DIR, "out" when unset) — resolved at call
 /// time like every other artifact, never relative to the CWD.
 std::string default_sweep_cache_path();
@@ -76,24 +76,23 @@ struct SweepResult {
 /// which makes the result — including `sweep_to_csv` serialization —
 /// **bitwise identical** to a serial sweep at any job count.
 ///
-/// The on-disk cache (see EvaluationConfig::cache_enabled) is read and
-/// written atomically: concurrent processes sharing one `cache_path` never
-/// observe a torn file.
+/// The CSV is written atomically: concurrent processes sharing one
+/// `cache_path` never observe a torn file.
 class SweepRunner {
  public:
   struct Options {
     std::size_t jobs = 1;                 ///< pool size when owning
-    /// Sweep result cache; "" disables caching. Defaults under RAMP_OUT_DIR
-    /// (see default_sweep_cache_path).
+    /// Where run() writes the sweep CSV; "" writes none. Defaults under
+    /// RAMP_OUT_DIR (see default_sweep_cache_path).
     std::string cache_path = default_sweep_cache_path();
     ProgressObserver* observer = nullptr; ///< nullptr → silent
     /// Reuse an externally owned pool (e.g. across several sweeps in one
     /// process) instead of creating one per run; overrides `jobs`.
     ThreadPool* pool = nullptr;
     /// Shared per-stage memoization store every cell schedules against
-    /// (see stage_graph.hpp). Null: the runner creates one itself when
-    /// cfg.stage_cache_enabled, so same-frequency cells share sim outputs
-    /// within the sweep; otherwise stage caching is off.
+    /// (see stage_graph.hpp). Null: the runner creates one persisting under
+    /// cfg.stage_cache_dir (memory-only when empty), so same-frequency
+    /// cells share sim outputs within the sweep.
     std::shared_ptr<StageStore> stage_store;
   };
 
@@ -101,8 +100,8 @@ class SweepRunner {
       : SweepRunner(std::move(cfg), Options{}) {}
   SweepRunner(EvaluationConfig cfg, Options opts);
 
-  /// Runs the sweep (or answers it from the cache). Exceptions thrown by any
-  /// cell are re-thrown here, after all in-flight cells have drained.
+  /// Runs the sweep and writes its CSV. Exceptions thrown by any cell are
+  /// re-thrown here, after all in-flight cells have drained.
   SweepResult run() const;
 
   const EvaluationConfig& config() const { return cfg_; }
@@ -115,25 +114,18 @@ class SweepRunner {
   Options opts_;
 };
 
-/// Serialization used by the cache (exposed for tests).
+/// The sweep CSV: a `# ramp_sweep_cache v1 hash=<config_hash>` header, the
+/// qualification constants, then one write_result_row line per cell.
 std::string sweep_to_csv(const SweepResult& sweep);
-std::optional<SweepResult> sweep_from_csv(const std::string& csv,
-                                          const EvaluationConfig& expect_cfg);
 
 /// One AppTechResult as a single CSV row (no trailing newline) — the row
-/// format of sweep_to_csv, reused by the serve layer's persistent result
-/// cache. Callers set the stream to round-trip precision (17 digits).
+/// format of sweep_to_csv. Callers set the stream to round-trip precision
+/// (17 digits).
 void write_result_row(std::ostream& out, const AppTechResult& r);
 
-/// Parses one write_result_row line; nullopt when malformed or truncated.
-std::optional<AppTechResult> parse_result_row(const std::string& line);
-
-/// Hash of every config field that affects results.
+/// The sweep CSV header's stamp: a frozen digest of the result-affecting
+/// config fields. Not a cache key — the workload profiles and power biases
+/// it never sees are covered by the stage keys.
 std::uint64_t config_hash(const EvaluationConfig& cfg);
-
-/// Canonical one-line, human-readable rendering of every result-affecting
-/// config field (the fields config_hash covers, in the same order) — stored
-/// in persistent cache headers so stale entries are explainable.
-std::string canonical_config(const EvaluationConfig& cfg);
 
 }  // namespace ramp::pipeline

@@ -1,17 +1,10 @@
 #include "serve/eval_service.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include <unistd.h>
 
 #include "obs/span.hpp"
 #include "pipeline/stage_graph.hpp"
-#include "pipeline/sweep.hpp"
 #include "util/error.hpp"
 #include "util/hashing.hpp"
 #include "util/thread_pool.hpp"
@@ -20,13 +13,30 @@
 namespace ramp::serve {
 
 namespace {
+
 constexpr std::size_t kLatencyWindow = 512;
+
+using pipeline::StageId;
+
+/// The paper's scaling rule applies: the scaled node holds the app's 180 nm
+/// heat-sink temperature. An explicit sink target supersedes pinning, and
+/// pinning at 180 nm is the identity (the 180 nm run *is* the pin source).
+bool pinned(const EvalRequest& req) {
+  return req.pin_sink && req.sink_k <= 0.0 &&
+         req.node != scaling::TechPoint::k180nm;
+}
+
+/// EvalOutcome::key: a digest of the fit-stage key, short for every reply.
+std::string wire_key(const pipeline::StageKey& fit) {
+  Fnv64 h;
+  h.mix(std::string_view(fit.canonical));
+  return "fit.v1:" + h.hex();
+}
+
 }  // namespace
 
 EvalService::EvalService(pipeline::EvaluationConfig base, Options opts)
-    : base_(std::move(base)),
-      opts_(std::move(opts)),
-      lru_(opts_.cache_capacity) {
+    : base_(std::move(base)), opts_(std::move(opts)) {
   RAMP_REQUIRE(opts_.max_pending > 0, "max_pending must be at least 1");
   if (opts_.pool != nullptr) {
     pool_ = opts_.pool;
@@ -43,12 +53,13 @@ EvalService::EvalService(pipeline::EvaluationConfig base, Options opts)
     owned_registry_ = std::make_unique<obs::MetricsRegistry>(true);
     registry_ = owned_registry_.get();
   }
-  if (opts_.stage_store == nullptr && base_.stage_cache_enabled) {
-    pipeline::StageStore::Options store_opts;
-    store_opts.dir = base_.stage_cache_dir;
-    opts_.stage_store =
-        std::make_shared<pipeline::StageStore>(std::move(store_opts));
+  if (opts_.stage_store == nullptr) {
+    pipeline::StageStore::Options store_opts{.dir = base_.stage_cache_dir};
+    store_opts.memory_entries +=
+        static_cast<std::size_t>(pipeline::kNumStageIds) * opts_.cache_capacity;
+    opts_.stage_store = std::make_shared<pipeline::StageStore>(store_opts);
   }
+  evictions_seen_ = opts_.stage_store->blobs().evictions();
   requests_ = registry_->counter("ramp_serve_requests_total");
   hits_ = registry_->counter("ramp_serve_hits_total");
   coalesced_ = registry_->counter("ramp_serve_coalesced_total");
@@ -80,70 +91,70 @@ void EvalService::drain() {
   task_handles_.clear();
 }
 
-EvalService::Ticket EvalService::submit(const EvalRequest& req) {
-  RAMP_REQUIRE(req.op == Op::kEval, "submit() takes eval requests only");
-  workloads::workload(req.app);  // invalid names fail here, not on the pool
-  const std::string key = request_key(req, base_);
+EvalService::Resolved EvalService::resolve(const EvalRequest& req) {
+  const workloads::Workload& w = workloads::workload(req.app);
+  const pipeline::EvaluationConfig cfg = req.effective_config(base_);
+  const auto fit_key = [&](scaling::TechPoint node, double sink_k) {
+    return pipeline::cell_keys(cfg, w, node, sink_k).fit;
+  };
+  // The in-flight key must not depend on what the store holds, or identical
+  // requests racing a base computation would not coalesce: a pinned request
+  // goes by its base's fit key (covering every config field the target
+  // reads) and node. Uncached requests never join a cached computation.
+  const bool pin = pinned(req);
+  pipeline::StageKey fit = pin ? fit_key(scaling::TechPoint::k180nm, 0.0)
+                               : fit_key(req.node, req.sink_k);
+  std::string key = req.stage_cache ? "" : "nostore|";
+  if (pin) key += "pin|" + std::string(scaling::tech_token(req.node)) + "|";
+  Resolved resolved{key + fit.canonical, nullptr};
+  if (!req.stage_cache) return resolved;
 
-  std::unique_lock<std::mutex> lock(mutex_);
-  requests_.inc();
-
-  if (OutcomePtr* cached = lru_.get(key)) {
-    hits_.inc();
-    std::promise<OutcomePtr> ready;
-    ready.set_value(*cached);
-    return {ready.get_future().share(), Source::kCache};
+  pipeline::StageStore& store = *opts_.stage_store;
+  auto row = store.peek<pipeline::AppTechResult>(StageId::kFit, fit);
+  if (pin && row) {
+    // The resident base row's sink temperature completes the target key.
+    fit = fit_key(req.node, row->sink_temp_k);
+    row = store.peek<pipeline::AppTechResult>(StageId::kFit, fit);
   }
-  if (auto it = inflight_.find(key); it != inflight_.end()) {
-    coalesced_.inc();
-    return {it->second.future, Source::kCoalesced, it->second.phases};
-  }
-
-  misses_.inc();
-  // Backpressure: bound the number of scheduled-but-unfinished keys. The
-  // wait releases the lock, so hits/stats stay serviceable meanwhile.
-  slot_free_.wait(lock, [this] { return pending_ < opts_.max_pending; });
-  return submit_locked(req, key, lock);
+  if (!row) return resolved;
+  auto hit = std::make_shared<EvalOutcome>();
+  hit->key = wire_key(fit);
+  hit->result = std::move(*row);
+  hit->result.app = w.name;
+  hit->result.tech = req.node;
+  resolved.hit = std::move(hit);
+  return resolved;
 }
 
-bool EvalService::try_submit(const EvalRequest& req, Ticket* out) {
-  RAMP_REQUIRE(out != nullptr, "try_submit needs an output ticket");
-  RAMP_REQUIRE(req.op == Op::kEval, "try_submit() takes eval requests only");
-  workloads::workload(req.app);
-  const std::string key = request_key(req, base_);
-
+bool EvalService::admit(const EvalRequest& req, Ticket* out, bool block) {
+  RAMP_REQUIRE(req.op == Op::kEval, "submit() takes eval requests only");
   std::unique_lock<std::mutex> lock(mutex_);
-  if (OutcomePtr* cached = lru_.get(key)) {
+  // Memory-tier peeks only (no disk I/O or compute), under the lock so they
+  // and the in-flight check are one step: a completion publishes its row
+  // before it leaves the map. Invalid apps throw before any accounting.
+  const Resolved resolved = resolve(req);
+  if (resolved.hit) {
     requests_.inc();
     hits_.inc();
     std::promise<OutcomePtr> ready;
-    ready.set_value(*cached);
-    *out = {ready.get_future().share(), Source::kCache};
+    ready.set_value(resolved.hit);
+    *out = {ready.get_future().share(), Source::kCache, nullptr};
     return true;
   }
-  if (auto it = inflight_.find(key); it != inflight_.end()) {
+  if (auto it = inflight_.find(resolved.key); it != inflight_.end()) {
     requests_.inc();
     coalesced_.inc();
     *out = {it->second.future, Source::kCoalesced, it->second.phases};
     return true;
   }
-  // Would have to schedule: refuse instead of blocking when the pending
-  // bound is full. No counters move — the request was not accepted.
-  if (pending_ >= opts_.max_pending) return false;
+  // Would have to schedule: a non-blocking caller is refused instead while
+  // the pending bound is full, and no counters move.
+  if (!block && pending_ >= opts_.max_pending) return false;
   requests_.inc();
   misses_.inc();
-  *out = submit_locked(req, key, lock);
-  return true;
-}
-
-void EvalService::set_completion_hook(std::function<void()> hook) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  completion_hook_ = std::move(hook);
-}
-
-EvalService::Ticket EvalService::submit_locked(
-    const EvalRequest& req, const std::string& key,
-    std::unique_lock<std::mutex>& lock) {
+  // Backpressure: bound the number of scheduled-but-unfinished keys. The
+  // wait releases the lock, so hits/stats stay serviceable meanwhile.
+  slot_free_.wait(lock, [this] { return pending_ < opts_.max_pending; });
   ++pending_;
   queue_depth_gauge_.set(static_cast<double>(pending_));
 
@@ -153,8 +164,9 @@ EvalService::Ticket EvalService::submit_locked(
   auto phases = std::make_shared<EvalPhases>();
   phases->submitted = std::chrono::steady_clock::now();
   auto task = std::make_shared<std::packaged_task<OutcomePtr()>>(
-      [this, key, req, phases] { return run_scheduled(key, req, phases); });
+      [this, req, phases] { return run_scheduled(req, phases); });
   std::shared_future<OutcomePtr> future = task->get_future().share();
+  const std::string& key = resolved.key;
   inflight_.emplace(key, Inflight{future, phases});
 
   // Opportunistically drop completed handles so the vector stays bounded.
@@ -188,15 +200,31 @@ EvalService::Ticket EvalService::submit_locked(
     const std::lock_guard<std::mutex> inner(mutex_);
     task_handles_.push_back(std::move(handle));
   }
-  return {future, Source::kScheduled, phases};
+  *out = {future, Source::kScheduled, phases};
+  return true;
+}
+
+EvalService::Ticket EvalService::submit(const EvalRequest& req) {
+  Ticket ticket;
+  admit(req, &ticket, true);
+  return ticket;
+}
+
+bool EvalService::try_submit(const EvalRequest& req, Ticket* out) {
+  RAMP_REQUIRE(out != nullptr, "try_submit needs an output ticket");
+  return admit(req, out, false);
+}
+
+void EvalService::set_completion_hook(std::function<void()> hook) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  completion_hook_ = std::move(hook);
 }
 
 OutcomePtr EvalService::evaluate(const EvalRequest& req) {
   return submit(req).future.get();
 }
 
-OutcomePtr EvalService::run_scheduled(const std::string& key,
-                                      const EvalRequest& req,
+OutcomePtr EvalService::run_scheduled(const EvalRequest& req,
                                       const std::shared_ptr<EvalPhases>& phases) {
   const auto start = std::chrono::steady_clock::now();
   const auto delta_ns = [](std::chrono::steady_clock::time_point a,
@@ -207,37 +235,21 @@ OutcomePtr EvalService::run_scheduled(const std::string& key,
   };
   phases->queue_ns = delta_ns(phases->submitted, start);
   try {
-    OutcomePtr outcome;
-    bool from_disk = false;
-    if (!opts_.persist_dir.empty()) {
-      outcome = load_persisted(key);
-      from_disk = outcome != nullptr;
-    }
-    const auto after_probe = std::chrono::steady_clock::now();
-    phases->cache_ns = delta_ns(start, after_probe);
-    if (!outcome) {
-      auto fresh = std::make_shared<EvalOutcome>();
-      fresh->key = key;
-      // Stage attribution by bracketing the worker's cumulative per-stage
-      // counters: this thread runs exactly one evaluation at a time, so the
-      // deltas are this request's stage work (zeros when RAMP_METRICS off).
-      const auto stages_before = obs::Profiler::global().thread_stage_nanos();
-      fresh->result = evaluate_request(req, req.effective_config(base_));
-      const auto after_eval = std::chrono::steady_clock::now();
-      const auto stages_after = obs::Profiler::global().thread_stage_nanos();
-      phases->compute_ns = delta_ns(after_probe, after_eval);
-      for (int i = 0; i < obs::kNumStages; ++i) {
-        const auto si = static_cast<std::size_t>(i);
-        phases->stage_ns[si] = stages_after[si] >= stages_before[si]
-                                   ? stages_after[si] - stages_before[si]
-                                   : 0;
-      }
-      outcome = fresh;
-      if (!opts_.persist_dir.empty()) {
-        store_persisted(*outcome, req.effective_config(base_));
-      }
-    }
+    // Stage attribution by bracketing the worker's cumulative per-stage
+    // counters: this thread runs exactly one evaluation at a time, so the
+    // deltas are this request's stage work (zeros when RAMP_METRICS off).
+    const auto stages_before = obs::Profiler::global().thread_stage_nanos();
+    CellRun run = run_cell(req, req.effective_config(base_));
     const auto end = std::chrono::steady_clock::now();
+    const auto stages_after = obs::Profiler::global().thread_stage_nanos();
+    (run.computed > 0 ? phases->compute_ns : phases->cache_ns) =
+        delta_ns(start, end);
+    for (int i = 0; i < obs::kNumStages; ++i) {
+      const auto si = static_cast<std::size_t>(i);
+      phases->stage_ns[si] = stages_after[si] >= stages_before[si]
+                                 ? stages_after[si] - stages_before[si]
+                                 : 0;
+    }
     phases->total_ns = delta_ns(start, end);
     // One trace slice per scheduled request on the worker that served it —
     // the serve-request spans of the Perfetto timeline.
@@ -246,7 +258,10 @@ OutcomePtr EvalService::run_scheduled(const std::string& key,
         "serve " + req.app + "@" + std::string(scaling::tech_token(req.node)),
         start, end);
     const std::chrono::duration<double, std::milli> wall = end - start;
-    record_outcome(key, outcome, from_disk, wall.count());
+    record_outcome(run.from_disk, wall.count());
+    auto outcome = std::make_shared<EvalOutcome>();
+    outcome->key = std::move(run.key);
+    outcome->result = std::move(run.result);
     return outcome;
   } catch (...) {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -266,7 +281,7 @@ pipeline::AppTechResult EvalService::evaluate_timeline(const EvalRequest& req) {
     const std::lock_guard<std::mutex> lock(mutex_);
     requests_.inc();
   }
-  return evaluate_request(req, cfg);
+  return run_cell(req, cfg).result;
 }
 
 void EvalService::reset_stats() {
@@ -274,86 +289,66 @@ void EvalService::reset_stats() {
   registry_->reset();
   // Point-in-time gauges stay meaningful across a counter reset.
   queue_depth_gauge_.set(static_cast<double>(pending_));
-  cache_entries_gauge_.set(static_cast<double>(lru_.size()));
+  evictions_seen_ = opts_.stage_store->blobs().evictions();
+  sync_store_locked();
   std::fill(latencies_ms_.begin(), latencies_ms_.end(), 0.0);
   latency_next_ = 0;
   latency_full_ = false;
 }
 
-pipeline::AppTechResult EvalService::evaluate_request(
+EvalService::CellRun EvalService::run_cell(
     const EvalRequest& req, const pipeline::EvaluationConfig& cfg) {
-  // Per-stage memoization: requests share the service-wide store unless
-  // they opted out. The store never changes an answer (staged output is
-  // byte-identical), so stage_cache is excluded from the request key.
   const std::shared_ptr<pipeline::StageStore> store =
       req.stage_cache ? opts_.stage_store : nullptr;
-  const pipeline::Evaluator evaluator(cfg, store);
-  const auto& w = workloads::workload(req.app);
-
+  const workloads::Workload& w = workloads::workload(req.app);
+  CellRun run;
+  BlobStore::Outcome outcome = BlobStore::Outcome::kComputed;
   double sink_k = req.sink_k;
-  const bool pin = req.pin_sink && sink_k <= 0.0 &&
-                   req.node != scaling::TechPoint::k180nm;
-  if (pin) {
-    // The paper's scaling rule: the scaled node holds the application's
-    // 180 nm heat-sink temperature. The base cell is itself a service
-    // citizen — cached under its own key — so one warm process pays for an
-    // app's 180 nm run once across all nodes. It is evaluated inline (not
-    // re-submitted to the pool) because a FIFO-pool worker must never block
-    // on a task queued behind itself.
-    EvalRequest base_req = req;
-    base_req.op = Op::kEval;  // timeline ops share the plain eval's base key
-    base_req.node = scaling::TechPoint::k180nm;
-    base_req.sink_k = 0.0;
-    base_req.points.reset();
-    const std::string base_key = request_key(base_req, base_);
-
-    OutcomePtr base;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (OutcomePtr* cached = lru_.get(base_key)) base = *cached;
-    }
-    if (!base && !opts_.persist_dir.empty()) base = load_persisted(base_key);
-    if (!base) {
-      // The base cell is evaluated without the flight recorder even for
-      // timeline requests: the cached outcome must be bitwise the one a
-      // plain eval would produce (and carry no timeline payload).
-      pipeline::EvaluationConfig base_cfg = cfg;
-      base_cfg.timeline_enabled = false;
-      auto fresh = std::make_shared<EvalOutcome>();
-      fresh->key = base_key;
-      fresh->result = pipeline::Evaluator(base_cfg, store)
-                          .evaluate(w, scaling::TechPoint::k180nm);
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        evaluations_.inc();
-        evictions_.inc(lru_.put(base_key, fresh));
-        cache_entries_gauge_.set(static_cast<double>(lru_.size()));
-      }
-      if (!opts_.persist_dir.empty()) store_persisted(*fresh, cfg);
-      base = fresh;
-    }
-    sink_k = base->result.sink_temp_k;
+  if (pinned(req)) {
+    // The base cell goes through the store under its own key, so one warm
+    // process pays for an app's 180 nm run once across all nodes. It runs
+    // inline (not re-submitted to the pool) because a FIFO-pool worker must
+    // never block on a task queued behind itself, and without the flight
+    // recorder, so its row is the one a plain eval reads.
+    pipeline::EvaluationConfig base_cfg = cfg;
+    base_cfg.timeline_enabled = false;
+    sink_k = pipeline::Evaluator(base_cfg, store)
+                 .evaluate(w, scaling::TechPoint::k180nm, 0.0, &outcome)
+                 .sink_temp_k;
+    run.computed += outcome == BlobStore::Outcome::kComputed ? 1 : 0;
   }
-
-  pipeline::AppTechResult r = evaluator.evaluate(w, req.node, sink_k);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    evaluations_.inc();
-  }
-  return r;
+  run.result =
+      pipeline::Evaluator(cfg, store).evaluate(w, req.node, sink_k, &outcome);
+  run.computed += outcome == BlobStore::Outcome::kComputed ? 1 : 0;
+  run.from_disk = outcome == BlobStore::Outcome::kDiskHit && run.computed == 0;
+  run.key = wire_key(pipeline::cell_keys(cfg, w, req.node, sink_k).fit);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  evaluations_.inc(run.computed);
+  return run;
 }
 
-void EvalService::record_outcome(const std::string& key,
-                                 const OutcomePtr& outcome, bool from_disk,
-                                 double latency_ms) {
+void EvalService::record_outcome(bool from_disk, double latency_ms) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (from_disk) persist_hits_.inc();
-  evictions_.inc(lru_.put(key, outcome));
-  cache_entries_gauge_.set(static_cast<double>(lru_.size()));
+  sync_store_locked();
   latency_hist_.observe(latency_ms / 1e3);
   latencies_ms_[latency_next_] = latency_ms;
   latency_next_ = (latency_next_ + 1) % latencies_ms_.size();
   if (latency_next_ == 0) latency_full_ = true;
+}
+
+void EvalService::sync_store_locked() const {
+  const BlobStore& blobs = opts_.stage_store->blobs();
+  const std::uint64_t evicted = blobs.evictions();
+  evictions_.inc(evicted - evictions_seen_);
+  evictions_seen_ = evicted;
+  cache_entries_gauge_.set(static_cast<double>(blobs.memory_entries()));
+}
+
+const obs::MetricsRegistry& EvalService::metrics() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  sync_store_locked();
+  return *registry_;
 }
 
 ServiceStats EvalService::stats() const {
@@ -361,6 +356,7 @@ ServiceStats EvalService::stats() const {
   ServiceStats s;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
+    sync_store_locked();
     s.requests = requests_.value();
     s.hits = hits_.value();
     s.coalesced = coalesced_.value();
@@ -370,7 +366,7 @@ ServiceStats EvalService::stats() const {
     s.failures = failures_.value();
     s.evictions = evictions_.value();
     s.queue_depth = pending_;
-    s.cache_size = lru_.size();
+    s.cache_size = opts_.stage_store->blobs().memory_entries();
     const std::size_t n = latency_full_ ? latencies_ms_.size() : latency_next_;
     window.assign(latencies_ms_.begin(),
                   latencies_ms_.begin() + static_cast<std::ptrdiff_t>(n));
@@ -386,76 +382,6 @@ ServiceStats EvalService::stats() const {
     s.p99_latency_ms = at(0.99);
   }
   return s;
-}
-
-// ---- persistent file cache ------------------------------------------------
-//
-// One file per key: <persist_dir>/<fnv64(key)>.rampres containing
-//   # ramp_serve_cache v1
-//   # key=<canonical key>
-//   # cfg=<canonical config>          (explanatory only)
-//   <result row, sweep cache format, 17-digit precision>
-// The digest names the file; the embedded key disambiguates collisions
-// (mismatch reads as a miss and the entry is rewritten). Writes follow the
-// sweep cache's atomic discipline: same-directory temp file + rename.
-
-std::string EvalService::persist_path(const std::string& key) const {
-  Fnv64 h;
-  h.mix(std::string_view(key));
-  return (std::filesystem::path(opts_.persist_dir) / (h.hex() + ".rampres"))
-      .string();
-}
-
-OutcomePtr EvalService::load_persisted(const std::string& key) {
-  const obs::Span cache_span(obs::Stage::kCache);
-  std::ifstream f(persist_path(key));
-  if (!f) return nullptr;
-  std::string line;
-  if (!std::getline(f, line) || line != "# ramp_serve_cache v1") return nullptr;
-  if (!std::getline(f, line) || line != "# key=" + key) return nullptr;
-  if (!std::getline(f, line) || line.rfind("# cfg=", 0) != 0) return nullptr;
-  if (!std::getline(f, line)) return nullptr;
-  auto r = pipeline::parse_result_row(line);
-  if (!r) return nullptr;
-  auto outcome = std::make_shared<EvalOutcome>();
-  outcome->key = key;
-  outcome->result = std::move(*r);
-  return outcome;
-}
-
-void EvalService::store_persisted(const EvalOutcome& outcome,
-                                  const pipeline::EvaluationConfig& cfg) {
-  const obs::Span cache_span(obs::Stage::kCache);
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(opts_.persist_dir, ec);
-  const fs::path target = persist_path(outcome.key);
-  // Same unique-temp discipline as util::BlobStore: PID + process-wide
-  // counter, so concurrent writers (threads or whole processes sharing one
-  // persist directory) never interleave bytes in one temp file.
-  static std::atomic<std::uint64_t> temp_seq{0};
-  fs::path tmp = target;
-  tmp += ".tmp." + std::to_string(::getpid()) + "." +
-         std::to_string(temp_seq.fetch_add(1, std::memory_order_relaxed));
-  {
-    std::ofstream f(tmp);
-    if (!f) return;  // best effort, like the sweep cache
-    std::ostringstream body;
-    body.precision(17);
-    body << "# ramp_serve_cache v1\n";
-    body << "# key=" << outcome.key << "\n";
-    body << "# cfg=" << pipeline::canonical_config(cfg) << "\n";
-    pipeline::write_result_row(body, outcome.result);
-    body << '\n';
-    f << body.str();
-    if (!f) {
-      f.close();
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  fs::rename(tmp, target, ec);
-  if (ec) fs::remove(tmp, ec);
 }
 
 }  // namespace ramp::serve

@@ -1,17 +1,20 @@
-// In-process RAMP evaluation service: bounded LRU result cache, optional
-// persistent file cache, single-flight request coalescing, and batched
-// execution on a ramp::ThreadPool with backpressure.
+// In-process RAMP evaluation service: admission, backpressure, single-flight
+// request coalescing and phase timing in front of the pipeline's StageStore,
+// the one result cache.
 //
-// The serving model: every request canonicalizes to a content-addressed key
-// (see request.hpp). A key is answered, in order of preference, from
-//   1. the in-memory LRU        (hit          — no work),
+// Every eval request resolves to its target cell's fit-stage key (see
+// pipeline/stage_graph.hpp), the key the store keeps the result row under.
+// A request is answered, in order of preference, from
+//   1. the store's memory tier   (hit         — at submit, no work),
 //   2. an identical in-flight
-//      computation              (coalesced    — shares that future),
-//   3. the persistent file
-//      cache                    (persist hit  — one disk read, on a worker),
-//   4. the full Turandot→PowerTimer→HotSpot→RAMP pipeline (evaluation).
-// Results are bitwise-identical to calling pipeline::Evaluator directly —
-// caching never changes an answer, only when it is computed.
+//      request                   (coalesced   — shares that future),
+//   3. the store's disk tier     (persist hit — one read, on a worker),
+//   4. the Turandot→PowerTimer→HotSpot→RAMP pipeline (evaluation), reusing
+//      every upstream stage the store already holds.
+// A pinned request resolves its 180 nm base cell the same way first: the
+// base's sink temperature is an input of the target's key. Results are
+// bitwise-identical to calling pipeline::Evaluator directly — caching never
+// changes an answer, only when it is computed.
 //
 // Threading: submit() may be called from any thread *except* pool workers
 // (a worker blocking on backpressure or on another task's future could
@@ -35,7 +38,6 @@
 #include "obs/span.hpp"
 #include "pipeline/evaluator.hpp"
 #include "serve/request.hpp"
-#include "util/lru_cache.hpp"
 
 namespace ramp {
 class ThreadPool;
@@ -43,8 +45,9 @@ class ThreadPool;
 
 namespace ramp::serve {
 
-/// One cached evaluation outcome. Shared (immutable) between the LRU, all
-/// coalesced waiters, and the wire encoder, so hits copy a pointer only.
+/// One evaluation outcome, shared (immutable) between all coalesced waiters
+/// and the wire encoder. `key` is the wire form of the target's fit-stage
+/// key: equal keys name the same result row.
 struct EvalOutcome {
   std::string key;
   pipeline::AppTechResult result;
@@ -54,16 +57,17 @@ using OutcomePtr = std::shared_ptr<const EvalOutcome>;
 /// Monotonic counters plus a point-in-time snapshot of service state.
 struct ServiceStats {
   std::uint64_t requests = 0;     ///< submit() calls accepted
-  std::uint64_t hits = 0;         ///< answered from the in-memory LRU
+  std::uint64_t hits = 0;         ///< answered from the memory tier at submit
   std::uint64_t coalesced = 0;    ///< attached to an identical in-flight key
   std::uint64_t misses = 0;       ///< scheduled work (persist hit or eval)
-  std::uint64_t persist_hits = 0; ///< misses answered from the file cache
-  std::uint64_t evaluations = 0;  ///< pipeline cell evaluations run (a pinned
-                                  ///< request may count 2: base + node)
+  std::uint64_t persist_hits = 0; ///< target's fit row read from disk with
+                                  ///< nothing computed
+  std::uint64_t evaluations = 0;  ///< fit-stage computes (a pinned request
+                                  ///< may count 2: base + node)
   std::uint64_t failures = 0;     ///< scheduled requests that threw
-  std::uint64_t evictions = 0;    ///< LRU entries displaced
+  std::uint64_t evictions = 0;    ///< store memory-tier entries displaced
   std::size_t queue_depth = 0;    ///< keys scheduled but not yet finished
-  std::size_t cache_size = 0;     ///< LRU entries resident
+  std::size_t cache_size = 0;     ///< store memory-tier entries resident
   double p50_latency_ms = 0.0;    ///< over recent scheduled requests
   double p99_latency_ms = 0.0;
 };
@@ -73,17 +77,20 @@ class EvalService {
   struct Options {
     std::size_t jobs = 1;            ///< pool size when owning
     ThreadPool* pool = nullptr;      ///< reuse an external pool; overrides jobs
-    std::size_t cache_capacity = 256;///< LRU entries
-    std::string persist_dir;         ///< "" disables the file cache
+    /// Results kept hot in the memory tier of the store the service creates:
+    /// each result may bring its four upstream stages, so the tier holds
+    /// the store's default 512 entries plus 5 × cache_capacity.
+    std::size_t cache_capacity = 256;
     std::size_t max_pending = 64;    ///< backpressure: submit() blocks beyond
     /// Registry the service books its counters in. Defaults to an internal
     /// always-enabled registry: the `stats` wire format is contractual, so
     /// service accounting must not depend on RAMP_METRICS.
     obs::MetricsRegistry* registry = nullptr;
-    /// Shared per-stage memoization store evaluations schedule against (see
-    /// pipeline/stage_graph.hpp). Null: the service creates one itself when
-    /// the base config has stage_cache_enabled, else stage caching is off.
-    /// Requests opt out individually with `"stage_cache": false`.
+    /// The store requests are answered from and evaluations schedule
+    /// against (see pipeline/stage_graph.hpp). Null: the service creates
+    /// one persisting under the base config's stage_cache_dir (memory-only
+    /// when empty), sized by cache_capacity. Requests opt out individually
+    /// with `"stage_cache": false` (computed, never cached).
     std::shared_ptr<pipeline::StageStore> stage_store;
   };
 
@@ -99,8 +106,8 @@ class EvalService {
   struct EvalPhases {
     std::chrono::steady_clock::time_point submitted{};  ///< set at submit
     std::uint64_t queue_ns = 0;    ///< submit → worker pickup
-    std::uint64_t cache_ns = 0;    ///< persistent-cache probe
-    std::uint64_t compute_ns = 0;  ///< pipeline evaluation wall time
+    std::uint64_t cache_ns = 0;    ///< store answered with nothing computed
+    std::uint64_t compute_ns = 0;  ///< evaluation that computed a fit stage
     std::uint64_t total_ns = 0;    ///< worker pickup → outcome recorded
     /// compute_ns split by pipeline stage: the worker thread's Profiler
     /// deltas around the evaluation (all zero when RAMP_METRICS is off).
@@ -148,11 +155,10 @@ class EvalService {
 
   /// Flight-recorder entry point (`{"op":"timeline"}`): evaluates `req` (op
   /// kEval or kTimeline) with the timeline recorder and watchdog enabled,
-  /// bypassing the LRU/persistent caches for the target cell — cached rows
-  /// carry no timelines. Runs synchronously on the calling thread (it is a
-  /// debug op, not a serving-path citizen); a pinned request still reuses or
-  /// populates the cached 180 nm base run. `req.points` overrides the point
-  /// budget.
+  /// recomputing the target's fit stage — cached rows carry no timelines.
+  /// Runs synchronously on the calling thread (it is a debug op, not a
+  /// serving-path citizen); a pinned request still reuses or populates the
+  /// cached 180 nm base run. `req.points` overrides the point budget.
   pipeline::AppTechResult evaluate_timeline(const EvalRequest& req);
 
   /// Zeroes the service counters and the latency window (the
@@ -168,16 +174,16 @@ class EvalService {
   /// The registry holding the service's `ramp_serve_*` metrics (the one
   /// passed in Options, else the internal always-enabled default). Exposed
   /// for exporters — the server's `metrics` op snapshots it.
-  const obs::MetricsRegistry& metrics() const { return *registry_; }
+  const obs::MetricsRegistry& metrics() const;
 
   /// Mutable registry access for co-located front-ends (net::Server books
   /// its `ramp_net_*` connection/shed/drain counters here so one `metrics`
   /// op exports service and transport together).
   obs::MetricsRegistry& registry() { return *registry_; }
 
-  /// The shared per-stage store requests schedule against (null when stage
-  /// caching is off). The `fleet` op runs its physics cells through it so a
-  /// fleet scenario and the eval path never duplicate stage work.
+  /// The store requests are answered from (never null). The `fleet` op runs
+  /// its physics cells through it so a fleet scenario and the eval path
+  /// never duplicate stage work.
   std::shared_ptr<pipeline::StageStore> stage_store() const {
     return opts_.stage_store;
   }
@@ -186,18 +192,31 @@ class EvalService {
   const Options& options() const { return opts_; }
 
  private:
-  Ticket submit_locked(const EvalRequest& req, const std::string& key,
-                       std::unique_lock<std::mutex>& lock);
-  OutcomePtr run_scheduled(const std::string& key, const EvalRequest& req,
+  /// A request's identity at submit: its in-flight key, plus the memory
+  /// tier's answer when the store already holds the target row.
+  struct Resolved {
+    std::string key;
+    OutcomePtr hit;
+  };
+  /// One scheduled cell's answer and what it cost.
+  struct CellRun {
+    pipeline::AppTechResult result;
+    std::string key;             ///< EvalOutcome::key
+    std::uint64_t computed = 0;  ///< fit stages computed (base + target)
+    bool from_disk = false;      ///< target row read from disk, none computed
+  };
+
+  Resolved resolve(const EvalRequest& req);
+  /// submit() and try_submit(): `block` waits for a pending slot instead of
+  /// returning false.
+  bool admit(const EvalRequest& req, Ticket* out, bool block);
+  OutcomePtr run_scheduled(const EvalRequest& req,
                            const std::shared_ptr<EvalPhases>& phases);
-  pipeline::AppTechResult evaluate_request(
-      const EvalRequest& req, const pipeline::EvaluationConfig& cfg);
-  OutcomePtr load_persisted(const std::string& key);
-  void store_persisted(const EvalOutcome& outcome,
-                       const pipeline::EvaluationConfig& cfg);
-  std::string persist_path(const std::string& key) const;
-  void record_outcome(const std::string& key, const OutcomePtr& outcome,
-                      bool from_disk, double latency_ms);
+  CellRun run_cell(const EvalRequest& req,
+                   const pipeline::EvaluationConfig& cfg);
+  void record_outcome(bool from_disk, double latency_ms);
+  /// Books the store's new memory-tier evictions and occupancy; mutex_ held.
+  void sync_store_locked() const;
 
   pipeline::EvaluationConfig base_;
   Options opts_;
@@ -208,7 +227,6 @@ class EvalService {
 
   mutable std::mutex mutex_;
   std::condition_variable slot_free_;
-  LruCache<std::string, OutcomePtr> lru_;
   /// In-flight scheduled keys. Coalescing joiners copy both members, so all
   /// waiters on one key share one future and one phase cell.
   struct Inflight {
@@ -219,6 +237,7 @@ class EvalService {
   std::vector<std::shared_future<void>> task_handles_;  ///< for drain/dtor
   std::size_t pending_ = 0;
   std::function<void()> completion_hook_;  ///< see set_completion_hook
+  mutable std::uint64_t evictions_seen_ = 0;  ///< store count last booked
 
   // Service accounting lives on the registry as `ramp_serve_*` metrics; all
   // increments happen under mutex_, so ServiceStats snapshots stay exactly

@@ -1,11 +1,8 @@
 #include "serve/request.hpp"
 
 #include <cmath>
-#include <cstdio>
 
-#include "pipeline/sweep.hpp"
 #include "util/error.hpp"
-#include "util/hashing.hpp"
 #include "workloads/spec2k.hpp"
 
 namespace ramp::serve {
@@ -143,25 +140,6 @@ EvalRequest parse_request(const std::string& line) {
     workloads::workload(req.app);  // validates the name, throws when unknown
   }
   return req;
-}
-
-std::string request_key(const EvalRequest& req,
-                        const pipeline::EvaluationConfig& base) {
-  RAMP_REQUIRE(req.op == Op::kEval, "only eval requests have cache keys");
-  // Canonical form: an explicit sink target supersedes pinning, and pinning
-  // at 180 nm is the identity (the 180 nm run *is* the pin source).
-  bool pin = req.pin_sink;
-  if (req.sink_k > 0.0 || req.node == scaling::TechPoint::k180nm) pin = false;
-
-  char sink[40];
-  std::snprintf(sink, sizeof sink, "%.17g", req.sink_k);
-
-  const pipeline::EvaluationConfig cfg = req.effective_config(base);
-  Fnv64 h;
-  h.mix(pipeline::config_hash(cfg));
-  return "eval.v1|app=" + req.app +
-         "|node=" + std::string(scaling::tech_token(req.node)) +
-         "|pin=" + (pin ? "1" : "0") + "|sink=" + sink + "|cfg=" + h.hex();
 }
 
 Json result_json(const pipeline::AppTechResult& r) {

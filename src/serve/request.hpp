@@ -1,5 +1,4 @@
-// Evaluation request codec: the JSON wire format of `ramp serve` and the
-// canonical content-addressed key the EvalService caches under.
+// Evaluation request codec: the JSON wire format of `ramp serve`.
 //
 // Request schema (one JSON object per line):
 //   {"op":"eval","app":"gcc","node":"65-1.0",          // required for eval
@@ -22,9 +21,10 @@
 // holds. An explicit positive `sink_k` overrides pinning; `pin_sink:false`
 // with no `sink_k` evaluates with the base 0.8 K/W convection resistance.
 //
-// Canonicalization: semantically identical requests (defaults spelled out
-// or omitted, node aliases, pin flags that cannot matter at 180 nm) map to
-// one key, so they coalesce and share cache entries.
+// The cache key of an eval request is its target cell's fit-stage key (see
+// EvalService), so semantically identical requests (defaults spelled out or
+// omitted, node aliases, pin flags that cannot matter at 180 nm, an explicit
+// sink_k equal to the pinned one) share one result row.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +60,9 @@ struct EvalRequest {
   std::optional<std::uint64_t> seed;       ///< overrides base config
   bool pin_sink = true;
   double sink_k = 0.0;     ///< >0: explicit sink target (overrides pinning)
-  /// Whether this request may schedule against the service's shared
-  /// pipeline::StageStore. Memoization never changes an answer (staged
-  /// output is byte-identical to the monolithic path), so this is excluded
-  /// from request_key — it only trades compute for reuse.
+  /// Whether this request may use the service's pipeline::StageStore.
+  /// False computes every stage and caches nothing; the answer is the same
+  /// (staged output is byte-identical to the monolithic path).
   bool stage_cache = true;
   std::optional<std::uint64_t> points;  ///< timeline op: point budget override
   // Fleet-op fields (op == kFleet only). The preset supplies everything not
@@ -77,7 +76,7 @@ struct EvalRequest {
   /// Per-request tracing: `"trace":true` asks the server to attach the phase
   /// breakdown to this response; `"trace_id"` names the trace (1..128
   /// printable bytes; server-generated when absent). Neither affects the
-  /// result, so both are excluded from request_key.
+  /// result or its key.
   bool trace = false;
   std::string trace_id;
   /// Metrics op only: response payload format, "prometheus" (default) or
@@ -93,12 +92,6 @@ struct EvalRequest {
 /// Parses one request line; throws InvalidArgument on malformed JSON,
 /// unknown ops/fields of the wrong type, or unknown app/node names.
 EvalRequest parse_request(const std::string& line);
-
-/// The content-addressed cache key: canonical request fields plus a hash of
-/// every result-affecting field of the effective config. Two requests with
-/// equal keys are guaranteed byte-identical results.
-std::string request_key(const EvalRequest& req,
-                        const pipeline::EvaluationConfig& base);
 
 /// Serializes one evaluation result as the wire "result" object.
 Json result_json(const pipeline::AppTechResult& r);

@@ -30,6 +30,11 @@ std::uint64_t BlobStore::memory_bytes() const {
   return memory_bytes_;
 }
 
+std::uint64_t BlobStore::evictions() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return evictions_;
+}
+
 std::string BlobStore::path_for(const std::string& key) const {
   Fnv64 h;
   h.mix(std::string_view(key));
@@ -58,6 +63,14 @@ BlobStore::Blob BlobStore::load_disk(
     n = std::stoull(digits, &pos);
     if (pos != digits.size()) return nullptr;
   } catch (const std::exception&) {
+    return nullptr;
+  }
+  // A torn or hostile header must not size the allocation: the payload can
+  // be at most what is left of the file.
+  const std::streamoff here = f.tellg();
+  const std::streamoff end = f.seekg(0, std::ios::end).tellg();
+  f.seekg(here);
+  if (here < 0 || end < here || n > static_cast<std::uint64_t>(end - here)) {
     return nullptr;
   }
   auto payload = std::make_shared<std::string>();
@@ -105,9 +118,15 @@ void BlobStore::store_disk(const std::string& key,
 
 void BlobStore::publish(const std::string& key, const Blob& blob) {
   Blob displaced;
-  lru_.put(key, blob, &displaced);
+  evictions_ += lru_.put(key, blob, &displaced);
   memory_bytes_ += blob->size();
   if (displaced) memory_bytes_ -= displaced->size();
+}
+
+BlobStore::Blob BlobStore::peek(const std::string& key) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  Blob* cached = lru_.get(key);
+  return cached != nullptr ? *cached : nullptr;
 }
 
 BlobStore::Result BlobStore::get_or_compute(

@@ -2,8 +2,8 @@
 // optional persistent one-file-per-key directory, with single-flight
 // computation per key.
 //
-// This factors out the caching idioms the serve layer's result cache
-// established (and the pipeline's stage store now shares):
+// The one result cache of the system: pipeline::StageStore wraps it, and
+// sweeps, the serve layer and the fleet simulator all answer from it.
 //  - keys are full canonical strings, stored verbatim in every file header
 //    so 64-bit digest collisions read as misses instead of wrong answers;
 //  - disk writes are atomic (same-directory temp file + rename) and best
@@ -73,9 +73,16 @@ class BlobStore {
       const std::string& key, const std::function<std::string()>& compute,
       const std::function<bool(const std::string&)>& validate = nullptr);
 
+  /// The payload for `key` when it is resident in the memory tier (touching
+  /// it most-recently-used), else null. Never reads the disk, computes, or
+  /// waits on an in-flight computation, so it is safe on an event loop.
+  Blob peek(const std::string& key);
+
   /// Resident entries / payload bytes in the memory tier (gauges).
   std::size_t memory_entries() const;
   std::uint64_t memory_bytes() const;
+  /// Entries the memory tier has evicted to stay within capacity (counter).
+  std::uint64_t evictions() const;
 
   const Options& options() const { return opts_; }
 
@@ -94,6 +101,7 @@ class BlobStore {
   LruCache<std::string, Blob> lru_;
   std::unordered_map<std::string, std::shared_future<Blob>> inflight_;
   std::uint64_t memory_bytes_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace ramp

@@ -56,13 +56,6 @@ std::string to_lower(const std::string& s) {
 
 }  // namespace
 
-bool env_enabled(const std::string& name) {
-  auto raw = env_string(name);
-  if (!raw) return true;
-  const std::string lower = to_lower(*raw);
-  return lower != "off" && lower != "0" && lower != "false" && lower != "no";
-}
-
 bool env_on_off(const std::string& name, bool fallback) {
   const auto raw = env_string(name);
   if (!raw) return fallback;

@@ -1,6 +1,6 @@
 // Environment-variable helpers used by benches and the CLI to override
-// sweep/serve parameters (RAMP_TRACE_LEN, RAMP_SEED, RAMP_JOBS, RAMP_CACHE,
-// RAMP_OUT_DIR) without recompiling.
+// sweep/serve parameters (RAMP_TRACE_LEN, RAMP_SEED, RAMP_JOBS,
+// RAMP_STAGE_CACHE, RAMP_OUT_DIR) without recompiling.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +24,6 @@ std::uint64_t env_u64(const std::string& name, std::uint64_t fallback);
 
 /// Worker-count override: like env_u64 but additionally rejects 0.
 std::size_t env_jobs(const std::string& name, std::size_t fallback);
-
-/// True when `name` is unset or set to anything other than the strings
-/// "off", "0", "false", "no" (case-insensitive) — i.e. features default on.
-bool env_enabled(const std::string& name);
 
 /// Strict boolean switch: returns `fallback` when `name` is unset; accepts
 /// (case-insensitive) "on"/"1"/"true"/"yes" and "off"/"0"/"false"/"no";

@@ -1,10 +1,10 @@
 // Stable, streaming 64-bit hashing for content-addressed keys and caches.
 //
-// The mixing scheme is the one the sweep cache has always used (FNV-1a offset
-// basis, golden-ratio combine per value), factored out so the sweep's
-// config_hash and the serve layer's request keys hash identically across
-// platforms, runs, and processes. Not cryptographic — collisions are guarded
-// at use sites by storing the full canonical key next to the digest.
+// The mixing scheme the sweep CSV's config_hash stamp has always used (FNV-1a
+// offset basis, golden-ratio combine per value), shared by config_hash, the
+// stage keys' field digests and the store's file names so they hash alike
+// across platforms, runs, and processes. Not cryptographic — collisions are
+// guarded at use sites by storing the full canonical key next to the digest.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,8 @@
 // Bounded least-recently-used map: O(1) get/put, strict capacity, eviction
-// count reporting. The building block of the serve layer's in-memory result
-// cache; kept generic (any hashable key) so other layers can reuse it.
+// count reporting. The memory tier of util::BlobStore (and so of the one
+// result cache, pipeline::StageStore); generic over any hashable key.
 //
-// Not thread-safe — callers hold their own lock (EvalService serializes all
-// cache access under its state mutex).
+// Not thread-safe — callers hold their own lock (BlobStore's mutex).
 #pragma once
 
 #include <cstddef>

@@ -28,8 +28,9 @@ struct RunResult {
 };
 
 /// Runs `ramp <args>` through the shell from a scratch directory, with the
-/// artifact/cache environment pointed away from the source tree. Extra
-/// environment assignments (e.g. "RAMP_METRICS=off") go in `env`.
+/// artifact environment pointed away from the source tree and the stage
+/// store kept in memory (cold every run). Extra environment assignments
+/// (e.g. "RAMP_METRICS=off") go in `env`.
 RunResult run_cli(const std::string& args, const std::string& stdin_doc = "",
                   const std::string& env = "") {
   static const std::string scratch = [] {
@@ -38,7 +39,7 @@ RunResult run_cli(const std::string& args, const std::string& stdin_doc = "",
     return dir.string();
   }();
   std::string cmd = "cd '" + scratch + "' && RAMP_OUT_DIR='" + scratch +
-                    "' RAMP_CACHE=off " + env + " '" RAMP_CLI_PATH "' " +
+                    "' RAMP_STAGE_CACHE=off " + env + " '" RAMP_CLI_PATH "' " +
                     args + " 2>/dev/null";
   if (!stdin_doc.empty()) {
     const std::string doc = scratch + "/stdin.ndjson";
@@ -195,7 +196,7 @@ TEST(CliTest, SweepCsvMatchesCommittedGoldenByteForByte) {
                                jobs,
                            "",
                            "RAMP_OUT_DIR='" + dir.string() +
-                               "' RAMP_CACHE=on RAMP_METRICS=off");
+                               "' RAMP_STAGE_CACHE=on RAMP_METRICS=off");
     ASSERT_EQ(r.exit_code, 0);
     const fs::path cache = dir / "ramp_sweep_cache.csv";
     ASSERT_TRUE(fs::exists(cache));
@@ -224,7 +225,7 @@ TEST(CliTest, StageCacheSweepColdAndWarmMatchGolden) {
     fs::remove_all(dir);
     fs::create_directories(dir);
     const std::string env = "RAMP_OUT_DIR='" + dir.string() +
-                            "' RAMP_CACHE=on RAMP_METRICS=off";
+                            "' RAMP_STAGE_CACHE=on RAMP_METRICS=off";
     const std::string cmd = std::string("sweep --trace-len 4000 --jobs ") +
                             jobs + " --stage-cache";
     const fs::path cache = dir / "ramp_sweep_cache.csv";
@@ -335,14 +336,17 @@ TEST(CliTest, SweepWritesCacheIntoOutDirNotCwd) {
   const fs::path dir = fs::temp_directory_path() / "ramp_cli_test_outdir";
   fs::remove_all(dir);
   fs::create_directories(dir);
-  // Cache explicitly enabled (RAMP_CACHE=on overrides the harness default).
-  const std::string cmd = "cd '" + dir.string() + "' && RAMP_CACHE=on '"
+  // The default persistent store and the sweep CSV both belong under
+  // --out-dir.
+  const std::string cmd = "cd '" + dir.string() + "' && '"
                           RAMP_CLI_PATH "' sweep --trace-len 5000 --jobs 2"
                           " --out-dir '" + (dir / "artifacts").string() +
                           "' >/dev/null 2>&1";
   EXPECT_EQ(WEXITSTATUS(std::system(cmd.c_str())), 0);
   EXPECT_TRUE(fs::exists(dir / "artifacts" / "ramp_sweep_cache.csv"));
   EXPECT_FALSE(fs::exists(dir / "ramp_sweep_cache.csv"));
+  EXPECT_TRUE(fs::exists(dir / "artifacts" / "stage_cache"));
+  EXPECT_FALSE(fs::exists(dir / "stage_cache"));
   fs::remove_all(dir);
 }
 
@@ -560,27 +564,28 @@ exit $?
 
 TEST(CliTest, ShardedServeRoutesKeysToDisjointCaches) {
   // Two shard workers, one front. Each eval key must persist in exactly one
-  // shard's cache directory — the consistent-hash routing is what makes the
+  // shard's store directory — the consistent-hash routing is what makes the
   // per-key single-flight guarantee hold fleet-wide.
   const std::string script = R"SH(
 set -u
 ramp=$1; dir=$2
-RAMP_CACHE=on "$ramp" serve --listen 127.0.0.1:0 --shards 2 \
+RAMP_STAGE_CACHE=on "$ramp" serve --listen 127.0.0.1:0 --shards 2 \
   --port-file "$dir/port" --trace-len 2000 --out-dir "$dir/out" \
   > /dev/null 2>&1 &
 pid=$!
 for i in $(seq 1 100); do [ -s "$dir/port" ] && break; sleep 0.1; done
 port=$(cat "$dir/port")
-# 180 nm keys only: a scaled node would drag the shared 180 nm base-run
-# entry into BOTH shard caches as a dependency and muddy the disjointness
-# check; at 180 nm each key's dependency closure is itself.
+# Evals route by trace key, so a scaled node's 180 nm base run lands on
+# the same shard as the node itself and every entry has one home.
 for app in gcc gzip twolf crafty ammp mesa; do
-  exec 3<> "/dev/tcp/127.0.0.1/$port"
-  printf '{"op":"eval","app":"%s","node":"180","trace_len":2000}\n' \
-    "$app" >&3
-  IFS= read -r line <&3 || exit 3
-  case "$line" in *'"ok":true'*) ;; *) echo "$line"; exit 4 ;; esac
-  exec 3<&- 3>&-
+  for node in 180 90; do
+    exec 3<> "/dev/tcp/127.0.0.1/$port"
+    printf '{"op":"eval","app":"%s","node":"%s","trace_len":2000}\n' \
+      "$app" "$node" >&3
+    IFS= read -r line <&3 || exit 3
+    case "$line" in *'"ok":true'*) ;; *) echo "$line"; exit 4 ;; esac
+    exec 3<&- 3>&-
+  done
 done
 exec 3<> "/dev/tcp/127.0.0.1/$port"
 printf '{"op":"shutdown"}\n' >&3
@@ -598,11 +603,11 @@ exit $?
   // the keyspace split is real, not cosmetic.
   std::vector<std::string> shard0, shard1;
   for (const auto& e :
-       fs::directory_iterator(dir / "out" / "serve_cache" / "shard-0")) {
+       fs::directory_iterator(dir / "out" / "stage_cache" / "shard-0")) {
     shard0.push_back(e.path().filename().string());
   }
   for (const auto& e :
-       fs::directory_iterator(dir / "out" / "serve_cache" / "shard-1")) {
+       fs::directory_iterator(dir / "out" / "stage_cache" / "shard-1")) {
     shard1.push_back(e.path().filename().string());
   }
   EXPECT_FALSE(shard0.empty());

@@ -18,7 +18,6 @@ FleetScenario small_scenario() {
   FleetScenario sc = FleetScenario::preset("baseline");
   sc.chips = 3000;
   sc.cell.trace_instructions = 2000;
-  sc.cell.cache_enabled = false;
   return sc;
 }
 
@@ -59,7 +58,6 @@ TEST(FleetConcurrencyTest, PolicyScenariosAreJobInvariant) {
     FleetScenario sc = FleetScenario::preset(name);
     sc.chips = 1500;
     sc.cell.trace_instructions = 2000;
-    sc.cell.cache_enabled = false;
     EXPECT_EQ(run_with_jobs(sc, 1, 256), run_with_jobs(sc, 4, 256))
         << "scenario " << name;
   }

@@ -53,7 +53,6 @@ FleetScenario quick_scenario(std::uint64_t chips = 2000) {
   FleetScenario sc = FleetScenario::preset("baseline");
   sc.chips = chips;
   sc.cell.trace_instructions = 2000;
-  sc.cell.cache_enabled = false;
   return sc;
 }
 
@@ -240,7 +239,6 @@ TEST(FleetSimulatorTest, TenThousandChipsCostSixteenSimStages) {
   const auto store = std::make_shared<pipeline::StageStore>(std::move(sopts));
 
   FleetScenario sc = quick_scenario(10000);
-  sc.cell.stage_cache_enabled = true;
   FleetSimulator::Options opts;
   opts.stage_store = store;
   opts.registry = &reg;
@@ -292,7 +290,6 @@ TEST(FleetPolicyTest, TargetedAttackAcceleratesWearout) {
   FleetScenario attack = FleetScenario::preset("attack");
   attack.chips = 3000;
   attack.cell.trace_instructions = 2000;
-  attack.cell.cache_enabled = false;
   attack.attack.targeted_fraction = 1.0;
   attack.attack.occupancy = 1.0;
 
@@ -308,7 +305,6 @@ TEST(FleetPolicyTest, MonitorReconfigurationExtendsLifetime) {
   FleetScenario monitor = FleetScenario::preset("monitor");
   monitor.chips = 3000;
   monitor.cell.trace_instructions = 2000;
-  monitor.cell.cache_enabled = false;
 
   const FleetResult r = FleetSimulator(monitor).run();
   EXPECT_GT(r.summary.monitor_reconfigs, 0u);

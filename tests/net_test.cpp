@@ -14,7 +14,9 @@
 
 #include "net/event_loop.hpp"
 #include "net/hash_ring.hpp"
+#include "net/shard.hpp"
 #include "net/socket.hpp"
+#include "serve/request.hpp"
 #include "util/error.hpp"
 
 namespace ramp::net {
@@ -65,6 +67,37 @@ TEST(HashRingTest, SingleShardOwnsEverything) {
   const HashRing ring(1);
   for (int i = 0; i < 100; ++i)
     EXPECT_EQ(ring.shard_for(std::to_string(i)), 0u);
+}
+
+TEST(HashRingTest, EvalsDifferingOnlyInNodeOrSinkShareAShard) {
+  // The front routes by trace key: every cell of one (app, trace length,
+  // seed) — the pinned 180 nm base included — lands on one shard.
+  const HashRing ring(4);
+  const pipeline::EvaluationConfig base;
+  const auto shard_of = [&](const std::string& line) {
+    return ring.shard_for(eval_route_key(serve::parse_request(line), base));
+  };
+  const std::size_t home =
+      shard_of(R"({"op":"eval","app":"gcc","node":"180"})");
+  for (const char* line :
+       {R"({"op":"eval","app":"gcc","node":"90"})",
+        R"({"op":"eval","app":"gcc","node":"65-1.0","sink_k":350})",
+        R"({"op":"eval","app":"gcc","node":"130","pin_sink":false})",
+        R"({"op":"eval","app":"gcc","node":"65-0.9","sink_k":341.5})"}) {
+    EXPECT_EQ(shard_of(line), home) << line;
+  }
+  // The key still separates apps, trace lengths and seeds.
+  const auto key = [&](const std::string& line) {
+    return eval_route_key(serve::parse_request(line), base);
+  };
+  const std::string gcc = key(R"({"op":"eval","app":"gcc","node":"90"})");
+  EXPECT_NE(key(R"({"op":"eval","app":"mesa","node":"90"})"), gcc);
+  EXPECT_NE(key(R"({"op":"eval","app":"gcc","node":"90","seed":7})"), gcc);
+  EXPECT_NE(key(R"({"op":"eval","app":"gcc","node":"90","trace_len":9})"),
+            gcc);
+  // An explicit trace length equal to the base config's is the same key.
+  EXPECT_EQ(key(R"({"op":"eval","app":"gcc","node":"90","trace_len":300000})"),
+            gcc);
 }
 
 TEST(EventLoopTest, DispatchesReadableFd) {

@@ -61,10 +61,12 @@ TEST(ServeConcurrencyTest, IdenticalRequestsEvaluateExactlyOnce) {
   service.drain();  // quiesce: futures fire before the pool task's
                     // bookkeeping, so queue_depth needs the barrier
 
-  // Every caller got the one shared outcome object.
+  // Every caller got the one row, byte for byte (coalesced callers share
+  // the computing request's outcome; hits decode the stored row).
   for (const auto& outcome : outcomes) {
     ASSERT_NE(outcome, nullptr);
-    EXPECT_EQ(outcome.get(), outcomes.front().get());
+    EXPECT_EQ(outcome->key, outcomes.front()->key);
+    EXPECT_EQ(row(outcome->result), row(outcomes.front()->result));
   }
   const auto s = service.stats();
   EXPECT_EQ(s.requests, 8u);
@@ -126,7 +128,7 @@ TEST(ServeConcurrencyTest, BackpressureBoundsTheQueueWithoutDeadlock) {
 
 TEST(ServeConcurrencyTest, MixedKeysUnderContentionStayDeterministic) {
   // 8 threads × 4 requests over a small key space, with sink pinning in
-  // play: a TSan-friendly stress of the LRU + inflight + base-reuse paths.
+  // play: a TSan-friendly stress of the store + inflight + base-reuse paths.
   const std::vector<std::string> apps = {"gcc", "twolf"};
   const std::vector<std::string> nodes = {"180", "90"};
   EvalService::Options opts;

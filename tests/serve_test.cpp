@@ -1,18 +1,21 @@
 // EvalService behavior tests: answers are bitwise-identical to driving
 // pipeline::Evaluator directly (the acceptance bar — caching must never
 // change a result, only when it is computed), repeated requests hit the
-// in-memory LRU, the 180 nm base run is shared across nodes, and the
-// persistent file cache round-trips across service instances.
+// stage store's memory tier, the 180 nm base run is shared across nodes,
+// and persisted rows round-trip across service instances.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "pipeline/evaluator.hpp"
+#include "pipeline/stage_graph.hpp"
 #include "pipeline/sweep.hpp"
 #include "scaling/technology.hpp"
 #include "serve/eval_service.hpp"
@@ -20,6 +23,7 @@
 #include "serve/request.hpp"
 #include "serve/server.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/spec2k.hpp"
 
 namespace ramp::serve {
@@ -72,9 +76,15 @@ TEST(EvalServiceTest, ExplicitSinkTargetOverridesPinning) {
                                         scaling::TechPoint::k130nm, 350.0);
   const OutcomePtr outcome = service.evaluate(req);
   EXPECT_EQ(row(outcome->result), row(expected));
-  EXPECT_NE(outcome->key.find("pin=0"), std::string::npos);
   // Only one cell was evaluated: no 180 nm base run is needed.
   EXPECT_EQ(service.stats().evaluations, 1u);
+  // With an explicit target the pin flag cannot matter: the unpinned
+  // spelling names the same row and is a pure hit.
+  EvalRequest unpinned = req;
+  unpinned.pin_sink = false;
+  const EvalService::Ticket again = service.submit(unpinned);
+  EXPECT_EQ(again.source, EvalService::Source::kCache);
+  EXPECT_EQ(again.future.get()->key, outcome->key);
 }
 
 TEST(EvalServiceTest, RepeatedRequestServedFromCache) {
@@ -85,11 +95,15 @@ TEST(EvalServiceTest, RepeatedRequestServedFromCache) {
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.evaluations, 2u);  // 180 nm base + 90 nm cell
-  EXPECT_EQ(s.cache_size, 2u);   // both cached under their own keys
+  // Both rows are cached under their own fit keys, each with its upstream
+  // stages: 5 for the base, 4 for the node (the trace is shared).
+  EXPECT_EQ(s.cache_size, 9u);
 
   const EvalService::Ticket second = service.submit(eval_req("gcc", "90"));
   EXPECT_EQ(second.source, EvalService::Source::kCache);
-  EXPECT_EQ(second.future.get().get(), first.get());  // same shared outcome
+  const OutcomePtr hit = second.future.get();
+  EXPECT_EQ(hit->key, first->key);
+  EXPECT_EQ(row(hit->result), row(first->result));  // the same row, bitwise
   s = service.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.evaluations, 2u);  // nothing re-ran
@@ -108,32 +122,76 @@ TEST(EvalServiceTest, BaseRunSharedAcrossNodes) {
 }
 
 TEST(EvalServiceTest, RequestKeyCanonicalization) {
-  const auto base = tiny_config();
+  EvalService service(tiny_config(), {});
   EvalRequest pinned = eval_req("gcc", "180");
   EvalRequest unpinned = pinned;
   unpinned.pin_sink = false;
-  // Pinning cannot matter at 180 nm, so both spell the same key.
-  EXPECT_EQ(request_key(pinned, base), request_key(unpinned, base));
+  const OutcomePtr base = service.evaluate(pinned);
+  // Pinning cannot matter at 180 nm, so both spell the same row.
+  EXPECT_EQ(service.submit(unpinned).source, EvalService::Source::kCache);
 
-  EXPECT_NE(request_key(eval_req("gcc", "90"), base),
-            request_key(eval_req("gcc", "130"), base));
-  EXPECT_NE(request_key(eval_req("gcc", "90"), base),
-            request_key(eval_req("twolf", "90"), base));
+  // A pinned scaled node and its twin with the base's sink temperature
+  // spelled out are one row too.
+  service.evaluate(eval_req("gcc", "90"));
+  EvalRequest explicit_sink = eval_req("gcc", "90");
+  explicit_sink.sink_k = base->result.sink_temp_k;
+  EXPECT_EQ(service.submit(explicit_sink).source,
+            EvalService::Source::kCache);
 
-  EvalRequest longer = eval_req("gcc", "90");
+  // Different nodes, apps and trace lengths are different rows.
+  const auto evaluations = service.stats().evaluations;
+  service.evaluate(eval_req("gcc", "130"));
+  service.evaluate(eval_req("twolf", "180"));
+  EvalRequest longer = eval_req("gcc", "180");
   longer.trace_len = 9'999;
-  EXPECT_NE(request_key(longer, base), request_key(eval_req("gcc", "90"), base));
+  service.evaluate(longer);
+  EXPECT_EQ(service.stats().evaluations, evaluations + 3);
 }
 
 TEST(EvalServiceTest, LruEvictionIsCountedAndBounded) {
+  // A five-entry memory tier holds exactly one 180 nm cell's stages.
+  pipeline::StageStore::Options sopts;
+  sopts.memory_entries = 5;
   EvalService::Options opts;
-  opts.cache_capacity = 1;
+  opts.stage_store = std::make_shared<pipeline::StageStore>(std::move(sopts));
   EvalService service(tiny_config(), opts);
   service.evaluate(eval_req("gcc", "180"));
   service.evaluate(eval_req("twolf", "180"));
-  const auto s = service.stats();
-  EXPECT_EQ(s.cache_size, 1u);
-  EXPECT_EQ(s.evictions, 1u);
+  auto s = service.stats();
+  EXPECT_EQ(s.cache_size, 5u);
+  EXPECT_EQ(s.evictions, 5u);
+  // The evicted row is gone: asking again recomputes it.
+  EXPECT_EQ(service.submit(eval_req("gcc", "180")).source,
+            EvalService::Source::kScheduled);
+  service.drain();
+  s = service.stats();
+  EXPECT_EQ(s.evaluations, 3u);
+  EXPECT_EQ(s.evictions, 10u);
+}
+
+TEST(EvalServiceTest, PinnedRequestsCoalesceWhileTheirBaseLands) {
+  // A pinned request's in-flight key must not depend on whether its base
+  // row is resident yet: a twin arriving after the base landed still joins
+  // the first request instead of scheduling a second one.
+  ThreadPool pool(1);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  pool.submit([opened] { opened.wait(); });  // hold the only worker
+  const auto store = std::make_shared<pipeline::StageStore>();
+  EvalService::Options opts;
+  opts.pool = &pool;
+  opts.stage_store = store;
+  EvalService service(tiny_config(), opts);
+
+  const EvalService::Ticket first = service.submit(eval_req("gcc", "90"));
+  EXPECT_EQ(first.source, EvalService::Source::kScheduled);
+  pipeline::Evaluator(tiny_config(), store)
+      .evaluate(workloads::workload("gcc"), scaling::TechPoint::k180nm);
+  const EvalService::Ticket second = service.submit(eval_req("gcc", "90"));
+  EXPECT_EQ(second.source, EvalService::Source::kCoalesced);
+  gate.set_value();
+  EXPECT_EQ(row(second.future.get()->result), row(first.future.get()->result));
+  EXPECT_EQ(service.stats().misses, 1u);
 }
 
 TEST(EvalServiceTest, InvalidRequestsThrowSynchronously) {
@@ -163,10 +221,10 @@ class PersistCacheTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  EvalService::Options persist_opts() const {
-    EvalService::Options opts;
-    opts.persist_dir = dir_;
-    return opts;
+  pipeline::EvaluationConfig persist_config() const {
+    pipeline::EvaluationConfig cfg = tiny_config();
+    cfg.stage_cache_dir = dir_;
+    return cfg;
   }
 
   std::string dir_;
@@ -175,22 +233,23 @@ class PersistCacheTest : public ::testing::Test {
 TEST_F(PersistCacheTest, RoundtripsAcrossServiceInstances) {
   std::string first_row;
   {
-    EvalService service(tiny_config(), persist_opts());
+    EvalService service(persist_config(), {});
     first_row = row(service.evaluate(eval_req("gcc", "90"))->result);
   }
-  // One file per cached key: the 90 nm cell and its 180 nm base.
+  // One store file per stage entry: the 90 nm cell and its 180 nm base,
+  // each with its upstream stages (the trace is shared).
   std::size_t files = 0;
   for (const auto& e : fs::directory_iterator(dir_)) {
-    EXPECT_EQ(e.path().extension(), ".rampres");
+    EXPECT_EQ(e.path().extension(), ".rampblob");
     std::ifstream f(e.path());
     std::string line;
     ASSERT_TRUE(std::getline(f, line));
-    EXPECT_EQ(line, "# ramp_serve_cache v1");
+    EXPECT_EQ(line, "# ramp_blob v1");
     ++files;
   }
-  EXPECT_EQ(files, 2u);
+  EXPECT_EQ(files, 9u);
 
-  EvalService warm(tiny_config(), persist_opts());
+  EvalService warm(persist_config(), {});
   EXPECT_EQ(row(warm.evaluate(eval_req("gcc", "90"))->result), first_row);
   const auto s = warm.stats();
   EXPECT_EQ(s.persist_hits, 1u);
@@ -200,13 +259,13 @@ TEST_F(PersistCacheTest, RoundtripsAcrossServiceInstances) {
 TEST_F(PersistCacheTest, CorruptFilesAreRecomputedNotTrusted) {
   std::string first_row;
   {
-    EvalService service(tiny_config(), persist_opts());
+    EvalService service(persist_config(), {});
     first_row = row(service.evaluate(eval_req("gcc", "90"))->result);
   }
   for (const auto& e : fs::directory_iterator(dir_)) {
     std::ofstream(e.path()) << "not a cache file\n";
   }
-  EvalService rebuilt(tiny_config(), persist_opts());
+  EvalService rebuilt(persist_config(), {});
   EXPECT_EQ(row(rebuilt.evaluate(eval_req("gcc", "90"))->result), first_row);
   const auto s = rebuilt.stats();
   EXPECT_EQ(s.persist_hits, 0u);
@@ -364,12 +423,13 @@ TEST(ServeLoopTest, MetricsResetZeroesStats) {
 
   // Post-reset counters read exactly like a fresh service's in the frozen
   // wire format; only cache_size differs, because gauges report state, not
-  // history — the LRU still holds the base + node outcomes.
+  // history — the store still holds the base + node rows and their
+  // upstream stages (5 + 4 entries).
   EXPECT_EQ(responses[2].dump(),
             "{\"ok\":true,\"op\":\"stats\",\"stats\":{"
             "\"requests\":0,\"hits\":0,\"coalesced\":0,\"misses\":0,"
             "\"persist_hits\":0,\"evaluations\":0,\"failures\":0,"
-            "\"evictions\":0,\"queue_depth\":0,\"cache_size\":2,"
+            "\"evictions\":0,\"queue_depth\":0,\"cache_size\":9,"
             "\"p50_latency_ms\":0,\"p99_latency_ms\":0}}");
 }
 
@@ -382,9 +442,9 @@ TEST(EvalServiceTest, ResetStatsKeepsCacheGauges) {
   EXPECT_EQ(s.requests, 0u);
   EXPECT_EQ(s.evaluations, 0u);
   EXPECT_DOUBLE_EQ(s.p50_latency_ms, 0.0);
-  // The cache still holds the entry — gauges reflect state, not history —
-  // and the service keeps serving from it.
-  EXPECT_EQ(s.cache_size, 1u);
+  // The store still holds the cell's five stage entries — gauges reflect
+  // state, not history — and the service keeps serving from it.
+  EXPECT_EQ(s.cache_size, 5u);
   service.evaluate(eval_req("gcc", "180"));
   EXPECT_EQ(service.stats().hits, 1u);
 }
@@ -501,14 +561,17 @@ TEST(ParseRequestTest, MetricsFormatValidates) {
 }
 
 // Tracing is pure observation: it must never change what is computed or
-// cached, so the cache key ignores trace/trace_id by construction.
+// cached, so a traced request hits the row its plain twin cached.
 TEST(EvalServiceTest, RequestKeyIgnoresTraceFields) {
-  const pipeline::EvaluationConfig base = tiny_config();
+  EvalService service(tiny_config(), {});
   const EvalRequest plain =
       parse_request(R"({"op":"eval","app":"gcc","node":"90"})");
   const EvalRequest traced = parse_request(
       R"({"op":"eval","app":"gcc","node":"90","trace":true,"trace_id":"t"})");
-  EXPECT_EQ(request_key(plain, base), request_key(traced, base));
+  const OutcomePtr first = service.evaluate(plain);
+  const EvalService::Ticket again = service.submit(traced);
+  EXPECT_EQ(again.source, EvalService::Source::kCache);
+  EXPECT_EQ(again.future.get()->key, first->key);
 }
 
 TEST(ServeLoopTest, HealthOpReportsStdioDefaults) {

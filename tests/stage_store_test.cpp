@@ -10,10 +10,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <unistd.h>
 
@@ -51,7 +54,6 @@ struct TempDir {
 EvaluationConfig quick_config() {
   EvaluationConfig cfg;
   cfg.trace_instructions = 5'000;
-  cfg.cache_enabled = false;
   return cfg;
 }
 
@@ -76,21 +78,9 @@ std::uint64_t count(obs::MetricsRegistry& reg, const std::string& name) {
 
 // The evaluator's exact key chain for (app, tech) with `cfg`, so tests can
 // locate (and corrupt) specific stage files.
-struct KeyChain {
-  StageKey trace, sim, power, thermal, fit;
-};
-KeyChain keys_for(const EvaluationConfig& cfg, const std::string& app,
+CellKeys keys_for(const EvaluationConfig& cfg, const std::string& app,
                   scaling::TechPoint point, double sink_target_k = 0.0) {
-  const workloads::Workload& w = workloads::workload(app);
-  const scaling::TechnologyNode& tech = scaling::node(point);
-  KeyChain k;
-  k.trace = trace_stage_key(
-      TraceStageIn{w.name, w.profile, cfg.trace_instructions, cfg.seed});
-  k.sim = sim_stage_key(k.trace, tech.frequency_hz, cfg.interval_seconds);
-  k.power = power_stage_key(k.sim, cfg.power, w.power_bias, tech);
-  k.thermal = thermal_stage_key(k.power, cfg, tech, sink_target_k);
-  k.fit = fit_stage_key(k.thermal, tech);
-  return k;
+  return cell_keys(cfg, workloads::workload(app), point, sink_target_k);
 }
 
 // ---- BlobStore file-format hardening ---------------------------------------
@@ -184,6 +174,11 @@ TEST(BlobStoreTest, CorruptFilesReadAsMissesAndGetRewritten) {
     bad.replace(bad.find("bytes=7"), 7, "bytes=8");
     expect_recompute(bad);
   }
+  {  // a byte count no allocation can honour must not be trusted either
+    std::string huge = original;
+    huge.replace(huge.find("bytes=7"), 7, "bytes=18446744073709551615");
+    expect_recompute(huge);
+  }
 }
 
 TEST(BlobStoreTest, MisKeyedFileReadsAsMiss) {
@@ -238,8 +233,8 @@ TEST(StageKeyTest, VoltageChangeInvalidatesPowerButNotSim) {
   // The paper's 65 nm V/f study: 0.9 V and 1.0 V run the same 2 GHz clock,
   // so trace and sim outputs are shared and only power→thermal→fit re-run.
   const EvaluationConfig cfg = quick_config();
-  const KeyChain lo = keys_for(cfg, "gcc", scaling::TechPoint::k65nm_0V9);
-  const KeyChain hi = keys_for(cfg, "gcc", scaling::TechPoint::k65nm_1V0);
+  const CellKeys lo = keys_for(cfg, "gcc", scaling::TechPoint::k65nm_0V9);
+  const CellKeys hi = keys_for(cfg, "gcc", scaling::TechPoint::k65nm_1V0);
   EXPECT_EQ(lo.trace.canonical, hi.trace.canonical);
   EXPECT_EQ(lo.sim.canonical, hi.sim.canonical);
   EXPECT_NE(lo.power.canonical, hi.power.canonical);
@@ -249,23 +244,23 @@ TEST(StageKeyTest, VoltageChangeInvalidatesPowerButNotSim) {
 
 TEST(StageKeyTest, UpstreamChangesCascadeDownstream) {
   EvaluationConfig cfg = quick_config();
-  const KeyChain base = keys_for(cfg, "gcc", scaling::TechPoint::k180nm);
+  const CellKeys base = keys_for(cfg, "gcc", scaling::TechPoint::k180nm);
 
   // A different app changes everything from the trace on down.
-  const KeyChain other_app = keys_for(cfg, "mesa", scaling::TechPoint::k180nm);
+  const CellKeys other_app = keys_for(cfg, "mesa", scaling::TechPoint::k180nm);
   EXPECT_NE(base.trace.canonical, other_app.trace.canonical);
   EXPECT_NE(base.fit.canonical, other_app.fit.canonical);
 
   // Seed feeds the trace stage; every downstream key embeds it.
   cfg.seed += 1;
-  const KeyChain reseeded = keys_for(cfg, "gcc", scaling::TechPoint::k180nm);
+  const CellKeys reseeded = keys_for(cfg, "gcc", scaling::TechPoint::k180nm);
   EXPECT_NE(base.trace.canonical, reseeded.trace.canonical);
   EXPECT_NE(base.sim.canonical, reseeded.sim.canonical);
   EXPECT_NE(base.fit.canonical, reseeded.fit.canonical);
   cfg.seed -= 1;
 
   // The sink target feeds thermal calibration only: power and above reuse.
-  const KeyChain pinned =
+  const CellKeys pinned =
       keys_for(cfg, "gcc", scaling::TechPoint::k180nm, 360.0);
   EXPECT_EQ(base.power.canonical, pinned.power.canonical);
   EXPECT_NE(base.thermal.canonical, pinned.thermal.canonical);
@@ -275,6 +270,197 @@ TEST(StageKeyTest, UpstreamChangesCascadeDownstream) {
   EXPECT_NE(base.sim.canonical.find(base.trace.canonical), std::string::npos);
   EXPECT_NE(base.fit.canonical.find(base.thermal.canonical),
             std::string::npos);
+}
+
+// Keys name persisted files, so their text is an on-disk format: a store
+// written by an earlier build must keep answering. Captured from the
+// snprintf("%.17g")-based formatting the key doubles started with.
+TEST(StageKeyTest, KeyTextIsFrozen) {
+  EXPECT_EQ(keys_for(quick_config(), "gcc", scaling::TechPoint::k90nm,
+                     341.23456789012345)
+                .fit.canonical,
+            "fit.v1|up=(thermal.v1|up=(power.v1|up=(sim.v1|up=(trace.v1|"
+            "app=gcc|n=5000|seed=42|profile=fc9b1f31f04bf3a3)|f=1650000000|"
+            "dt=9.9999999999999995e-07)|bias=1.22|dyn=2db2b3257f0d4f39)|"
+            "sink=341.23456789012346|cfg=aba50e70743ffb91)|"
+            "cfg=eb2af9c9a5384edb");
+}
+
+// The fit-stage key is the only result key, so every input that can change
+// a cell's result must reach it, and inputs that cannot must not. The table
+// covers every field config_hash mixes, the resolved sim mode with its
+// sampling parameters, and the workload profile and power bias config_hash
+// never saw.
+TEST(StageKeyTest, EveryResultInputReachesTheFitKey) {
+  using Perturb = std::function<void(EvaluationConfig&, workloads::Workload&)>;
+  struct Case {
+    std::string name;
+    Perturb perturb;
+    Perturb setup;  ///< applied to both sides first (may be empty)
+  };
+  const auto cfg_field = [](const std::string& name, auto member) {
+    return Case{name, [member](EvaluationConfig& c, workloads::Workload&) {
+                  c.*member *= 1.01;
+                }, nullptr};
+  };
+  const auto sampled = [](EvaluationConfig& c, workloads::Workload&) {
+    c.sim_mode = sim::SimMode::kSampled;
+  };
+  std::vector<Case> affecting = {
+      {"trace_instructions",
+       [](EvaluationConfig& c, workloads::Workload&) {
+         c.trace_instructions += 1;
+       }, nullptr},
+      {"seed", [](EvaluationConfig& c, workloads::Workload&) { c.seed += 1; },
+       nullptr},
+      cfg_field("interval_seconds", &EvaluationConfig::interval_seconds),
+      {"sim_mode sampled", sampled, nullptr},
+      {"sim_mode interval",
+       [](EvaluationConfig& c, workloads::Workload&) {
+         c.sim_mode = sim::SimMode::kInterval;
+       }, nullptr},
+      {"sim_mode auto resolving to sampled",
+       [](EvaluationConfig& c, workloads::Workload&) {
+         c.sim_mode = sim::SimMode::kAuto;
+         c.trace_instructions = 1'000'000;
+       },
+       [](EvaluationConfig& c, workloads::Workload&) {
+         c.trace_instructions = 1'000'000;
+       }},
+      {"power_bias",
+       [](EvaluationConfig&, workloads::Workload& w) { w.power_bias *= 1.01; },
+       nullptr},
+  };
+  for (auto param : {&sim::SampledParams::period, &sim::SampledParams::warmup,
+                     &sim::SampledParams::measure,
+                     &sim::SampledParams::windows}) {
+    affecting.push_back(
+        {"sampled param",
+         [param](EvaluationConfig& c, workloads::Workload&) {
+           c.sampled.*param += 1;
+         },
+         sampled});
+  }
+  const std::size_t structures =
+      EvaluationConfig{}.power.unconstrained_w_180nm.size();
+  for (std::size_t i = 0; i < structures; ++i) {
+    affecting.push_back({"unconstrained_w_180nm[" + std::to_string(i) + "]",
+                         [i](EvaluationConfig& c, workloads::Workload&) {
+                           c.power.unconstrained_w_180nm[i] *= 1.01;
+                         },
+                         nullptr});
+  }
+  const auto power_field = [](const std::string& name, auto member) {
+    return Case{name, [member](EvaluationConfig& c, workloads::Workload&) {
+                  c.power.*member *= 1.01;
+                }, nullptr};
+  };
+  affecting.push_back(power_field(
+      "clock_gating_floor", &power::PowerModelConfig::clock_gating_floor));
+  affecting.push_back(
+      power_field("leakage_beta", &power::PowerModelConfig::leakage_beta));
+  affecting.push_back(power_field("leakage_ref_temp",
+                                  &power::PowerModelConfig::leakage_ref_temp));
+  affecting.push_back(power_field(
+      "base_core_area_mm2", &power::PowerModelConfig::base_core_area_mm2));
+  for (auto member :
+       {&thermal::ThermalConfig::ambient_k,
+        &thermal::ThermalConfig::r_convec_k_per_w,
+        &thermal::ThermalConfig::r_vertical_specific,
+        &thermal::ThermalConfig::r_spreader_sink,
+        &thermal::ThermalConfig::k_silicon,
+        &thermal::ThermalConfig::die_thickness,
+        &thermal::ThermalConfig::c_silicon,
+        &thermal::ThermalConfig::spreader_capacitance,
+        &thermal::ThermalConfig::sink_capacitance}) {
+    affecting.push_back({"thermal field",
+                         [member](EvaluationConfig& c, workloads::Workload&) {
+                           c.thermal.*member *= 1.01;
+                         },
+                         nullptr});
+  }
+  const auto profile = [](const std::string& name,
+                          std::function<void(trace::GeneratorProfile&)> f) {
+    return Case{"profile " + name,
+                [f](EvaluationConfig&, workloads::Workload& w) {
+                  f(w.profile);
+                },
+                nullptr};
+  };
+  affecting.push_back(profile("op_mix", [](auto& p) { p.op_mix[0] += 0.01; }));
+  affecting.push_back(
+      profile("dep_distance_p", [](auto& p) { p.dep_distance_p *= 1.01; }));
+  affecting.push_back(profile("second_source_prob",
+                              [](auto& p) { p.second_source_prob *= 1.01; }));
+  affecting.push_back(
+      profile("stream_fraction", [](auto& p) { p.stream_fraction *= 1.01; }));
+  affecting.push_back(
+      profile("num_streams", [](auto& p) { p.num_streams += 1; }));
+  affecting.push_back(
+      profile("stream_stride", [](auto& p) { p.stream_stride += 1; }));
+  affecting.push_back(
+      profile("cold_fraction", [](auto& p) { p.cold_fraction *= 1.01; }));
+  affecting.push_back(profile("hot_footprint_bytes",
+                              [](auto& p) { p.hot_footprint_bytes += 64; }));
+  affecting.push_back(profile("cold_footprint_bytes",
+                              [](auto& p) { p.cold_footprint_bytes += 64; }));
+  affecting.push_back(
+      profile("branch_noise", [](auto& p) { p.branch_noise *= 1.01; }));
+  affecting.push_back(
+      profile("taken_bias", [](auto& p) { p.taken_bias *= 1.01; }));
+  affecting.push_back(
+      profile("code_blocks", [](auto& p) { p.code_blocks += 1; }));
+  affecting.push_back(profile("block_len", [](auto& p) { p.block_len += 1; }));
+
+  const std::vector<Case> neutral = {
+      {"metrics",
+       [](EvaluationConfig& c, workloads::Workload&) {
+         c.metrics_enabled = !c.metrics_enabled;
+         c.metrics_path = "m.prom";
+       }, nullptr},
+      {"timeline",
+       [](EvaluationConfig& c, workloads::Workload&) {
+         c.timeline_enabled = true;
+         c.timeline_points = 16;
+         c.timeline_dir = "tl";
+         c.trace_out = "t.json";
+         c.watchdog.max_temp_k = 1.0;
+         c.record_intervals = true;
+       }, nullptr},
+      {"cache dir",
+       [](EvaluationConfig& c, workloads::Workload&) {
+         c.stage_cache_dir = "elsewhere";
+       }, nullptr},
+      {"sampled params while detailed",
+       [](EvaluationConfig& c, workloads::Workload&) {
+         c.sampled.period += 1;
+       }, nullptr},
+      {"sim_mode auto resolving to detailed",
+       [](EvaluationConfig& c, workloads::Workload&) {
+         c.sim_mode = sim::SimMode::kAuto;
+       }, nullptr},
+  };
+
+  const auto fit_keys = [](const Case& c) {
+    EvaluationConfig base_cfg = quick_config();
+    workloads::Workload base_w = workloads::workload("gcc");
+    if (c.setup) c.setup(base_cfg, base_w);
+    EvaluationConfig cfg = base_cfg;
+    workloads::Workload w = base_w;
+    c.perturb(cfg, w);
+    return std::make_pair(
+        cell_keys(base_cfg, base_w, scaling::TechPoint::k90nm, 350.0)
+            .fit.canonical,
+        cell_keys(cfg, w, scaling::TechPoint::k90nm, 350.0).fit.canonical);
+  };
+  for (const Case& c : affecting) {
+    const auto [before, after] = fit_keys(c);
+    EXPECT_NE(before, after) << c.name << " does not reach the fit key";
+  }
+  for (const Case& c : neutral) {
+    const auto [before, after] = fit_keys(c);
+    EXPECT_EQ(before, after) << c.name << " must not change the fit key";
+  }
 }
 
 // ---- codecs ----------------------------------------------------------------
@@ -398,7 +584,7 @@ TEST(StageStoreTest, CorruptStageFileFallsBackToUpstreamHits) {
   TempDir tmp;
   const EvaluationConfig cfg = quick_config();
   const workloads::Workload& w = workloads::workload("gcc");
-  const KeyChain keys = keys_for(cfg, "gcc", scaling::TechPoint::k180nm);
+  const CellKeys keys = keys_for(cfg, "gcc", scaling::TechPoint::k180nm);
   std::string cold_row;
   std::string fit_path;
   {

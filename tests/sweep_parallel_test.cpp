@@ -6,9 +6,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "pipeline/stage_graph.hpp"
 #include "pipeline/sweep.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -130,10 +133,14 @@ TEST(SweepParallelTest, CacheRoundtripThroughRunner) {
   namespace fs = std::filesystem;
   const std::string path =
       (fs::temp_directory_path() / "ramp_sweep_parallel_test_cache.csv").string();
+  const fs::path store_dir =
+      fs::temp_directory_path() / "ramp_sweep_parallel_test_store";
   fs::remove(path);
+  fs::remove_all(store_dir);
 
   EvaluationConfig cfg;
   cfg.trace_instructions = 5'000;
+  cfg.stage_cache_dir = store_dir.string();
   SweepRunner::Options opts;
   opts.jobs = 4;
   opts.cache_path = path;
@@ -145,27 +152,28 @@ TEST(SweepParallelTest, CacheRoundtripThroughRunner) {
               std::string::npos);
   }
 
-  class CacheHitObserver final : public ProgressObserver {
-   public:
-    void on_cache_hit(const std::string&) override { hits++; }
-    void on_cell_start(const SweepCell&) override { cells++; }
-    int hits = 0;
-    int cells = 0;
-  } obs;
-  opts.observer = &obs;
+  // A second runner (a fresh store on the same directory) answers every
+  // cell from its persisted fit row: nothing is recomputed.
+  obs::MetricsRegistry reg(true);
+  StageStore::Options sopts;
+  sopts.dir = store_dir.string();
+  sopts.registry = &reg;
+  opts.stage_store = std::make_shared<StageStore>(std::move(sopts));
   const auto second = SweepRunner(cfg, opts).run();
-  EXPECT_EQ(obs.hits, 1);
-  EXPECT_EQ(obs.cells, 0);
+  EXPECT_EQ(reg.counter("ramp_stage_fit_hits_total").value(), 80u);
+  EXPECT_EQ(reg.counter("ramp_stage_fit_misses_total").value(), 0u);
+  EXPECT_EQ(reg.counter("ramp_stage_sim_misses_total").value(), 0u);
   EXPECT_EQ(sweep_to_csv(second), sweep_to_csv(first));
 
-  // A config with caching disabled ignores the file entirely.
-  cfg.cache_enabled = false;
-  obs.hits = 0;
-  obs.cells = 0;
-  SweepRunner(cfg, opts).run();
-  EXPECT_EQ(obs.hits, 0);
-  EXPECT_EQ(obs.cells, 80);
+  // A memory-only store ignores the directory entirely.
+  obs::MetricsRegistry cold_reg(true);
+  StageStore::Options cold;
+  cold.registry = &cold_reg;
+  opts.stage_store = std::make_shared<StageStore>(std::move(cold));
+  EXPECT_EQ(sweep_to_csv(SweepRunner(cfg, opts).run()), sweep_to_csv(first));
+  EXPECT_EQ(cold_reg.counter("ramp_stage_fit_misses_total").value(), 80u);
   fs::remove(path);
+  fs::remove_all(store_dir);
 }
 
 }  // namespace

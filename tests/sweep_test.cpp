@@ -1,11 +1,22 @@
-// Tests for the sweep runner: qualification, worst-case, cache roundtrip.
+// Tests for the sweep runner: qualification, worst-case, the CSV format and
+// the stage store it schedules against.
 #include "pipeline/sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "obs/metrics.hpp"
+#include "pipeline/stage_graph.hpp"
 #include "util/error.hpp"
 
 namespace ramp::pipeline {
@@ -103,38 +114,89 @@ TEST(SweepTest, CellsReturnsSuiteInTable3Order) {
 }
 
 TEST(SweepTest, CsvRoundtripPreservesEverything) {
+  // The CSV is the golden format: its 17-digit rows must read back to the
+  // exact doubles and counters of every cell.
   const auto& sweep = quick_sweep();
-  const std::string csv = sweep_to_csv(sweep);
-  const auto restored = sweep_from_csv(csv, sweep.config);
-  ASSERT_TRUE(restored.has_value());
-  ASSERT_EQ(restored->results.size(), sweep.results.size());
-  EXPECT_DOUBLE_EQ(restored->constants.em, sweep.constants.em);
-  EXPECT_DOUBLE_EQ(restored->constants.tddb, sweep.constants.tddb);
-  for (std::size_t i = 0; i < sweep.results.size(); ++i) {
-    const auto& a = sweep.results[i];
-    const auto& b = restored->results[i];
-    EXPECT_EQ(a.app, b.app);
-    EXPECT_EQ(a.tech, b.tech);
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-    EXPECT_DOUBLE_EQ(a.avg_total_power_w, b.avg_total_power_w);
-    EXPECT_DOUBLE_EQ(a.max_structure_temp_k, b.max_structure_temp_k);
-    EXPECT_DOUBLE_EQ(a.raw_fits.total(), b.raw_fits.total());
-    EXPECT_EQ(a.run.cycles, b.run.cycles);
+  std::istringstream csv(sweep_to_csv(sweep));
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  EXPECT_EQ(line, "# ramp_sweep_cache v1 hash=" +
+                      std::to_string(config_hash(sweep.config)));
+  ASSERT_TRUE(std::getline(csv, line));
+  double em = 0.0, sm = 0.0, tddb = 0.0, tc = 0.0;
+  ASSERT_EQ(std::sscanf(line.c_str(),
+                        "# constants em=%lf sm=%lf tddb=%lf tc=%lf", &em, &sm,
+                        &tddb, &tc),
+            4);
+  EXPECT_EQ(em, sweep.constants.em);
+  EXPECT_EQ(tddb, sweep.constants.tddb);
+  for (const auto& r : sweep.results) {
+    ASSERT_TRUE(std::getline(csv, line));
+    std::vector<std::string> cells;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, ',');) cells.push_back(cell);
+    ASSERT_GE(cells.size(), 11u);
+    EXPECT_EQ(cells[0], r.app);
+    EXPECT_EQ(scaling::kAllTechPoints.at(std::stoul(cells[1])), r.tech);
+    EXPECT_EQ(std::stod(cells[2]), r.ipc);
+    EXPECT_EQ(std::stod(cells[5]), r.avg_total_power_w);
+    EXPECT_EQ(std::stod(cells[6]), r.max_structure_temp_k);
+    EXPECT_EQ(std::stod(cells[10]), r.raw_fits.tc_fit);
+    std::size_t i = 11;
+    for (const auto& fits : r.raw_fits.by_structure) {
+      for (double v : fits) EXPECT_EQ(std::stod(cells.at(i++)), v);
+    }
+    EXPECT_EQ(std::stoull(cells.at(i)), r.run.cycles);
   }
+  EXPECT_FALSE(std::getline(csv, line));
 }
 
 TEST(SweepTest, CacheRejectsMismatchedConfig) {
-  const auto& sweep = quick_sweep();
-  const std::string csv = sweep_to_csv(sweep);
-  EvaluationConfig other = sweep.config;
-  other.trace_instructions += 1;
-  EXPECT_FALSE(sweep_from_csv(csv, other).has_value());
+  // A store warmed under one config never answers another: the fit-stage
+  // keys differ, so every cell recomputes.
+  obs::MetricsRegistry reg(true);
+  StageStore::Options sopts;
+  sopts.registry = &reg;
+  const auto store = std::make_shared<StageStore>(std::move(sopts));
+  EvaluationConfig cfg;
+  cfg.trace_instructions = 3'000;
+  SweepRunner::Options opts;
+  opts.cache_path.clear();
+  opts.stage_store = store;
+  SweepRunner(cfg, opts).run();
+  EXPECT_EQ(reg.counter("ramp_stage_fit_misses_total").value(), 80u);
+
+  cfg.trace_instructions += 1;
+  const auto other = SweepRunner(cfg, opts).run();
+  EXPECT_EQ(reg.counter("ramp_stage_fit_misses_total").value(), 160u);
+  EXPECT_EQ(reg.counter("ramp_stage_fit_hits_total").value(), 0u);
+  SweepRunner::Options fresh;
+  fresh.cache_path.clear();
+  EXPECT_EQ(sweep_to_csv(other), sweep_to_csv(SweepRunner(cfg, fresh).run()));
 }
 
 TEST(SweepTest, CacheRejectsGarbage) {
+  // Corrupt persisted rows are recomputed, never trusted: the rerun matches
+  // the original sweep byte for byte.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("ramp_sweep_test_garbage_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
   EvaluationConfig cfg;
-  EXPECT_FALSE(sweep_from_csv("not a cache file", cfg).has_value());
-  EXPECT_FALSE(sweep_from_csv("", cfg).has_value());
+  cfg.trace_instructions = 3'000;
+  cfg.stage_cache_dir = dir.string();
+  SweepRunner::Options opts;
+  opts.cache_path.clear();
+  const std::string first = sweep_to_csv(SweepRunner(cfg, opts).run());
+  std::size_t files = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    std::ofstream(e.path(), std::ios::trunc) << "not a cache file\n";
+    ++files;
+  }
+  EXPECT_EQ(files, 320u);  // 16 traces + 64 sims + 80 × power/thermal/fit
+  EXPECT_EQ(sweep_to_csv(SweepRunner(cfg, opts).run()), first);
+  fs::remove_all(dir);
 }
 
 TEST(SweepTest, DefaultCachePathResolvesUnderOutDir) {

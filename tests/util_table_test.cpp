@@ -76,17 +76,5 @@ TEST(EnvTest, U64RejectsGarbage) {
   ::unsetenv("RAMP_TEST_U64");
 }
 
-TEST(EnvTest, EnabledSemantics) {
-  ::unsetenv("RAMP_TEST_FLAG");
-  EXPECT_TRUE(env_enabled("RAMP_TEST_FLAG"));
-  ::setenv("RAMP_TEST_FLAG", "off", 1);
-  EXPECT_FALSE(env_enabled("RAMP_TEST_FLAG"));
-  ::setenv("RAMP_TEST_FLAG", "0", 1);
-  EXPECT_FALSE(env_enabled("RAMP_TEST_FLAG"));
-  ::setenv("RAMP_TEST_FLAG", "on", 1);
-  EXPECT_TRUE(env_enabled("RAMP_TEST_FLAG"));
-  ::unsetenv("RAMP_TEST_FLAG");
-}
-
 }  // namespace
 }  // namespace ramp

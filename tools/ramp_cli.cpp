@@ -168,28 +168,6 @@ void dump_metrics(const std::optional<std::string>& request) {
   }
 }
 
-// --stage-cache[=DIR] with the RAMP_STAGE_CACHE fallback (already resolved
-// into `cfg` by from_env): returns the per-stage memoization store for this
-// invocation, or null when stage caching is off. The bare flag (and
-// RAMP_STAGE_CACHE=on) persists under <out_dir>/stage_cache, like the
-// other artifact defaults; an explicit DIR wins.
-std::shared_ptr<pipeline::StageStore> resolve_stage_store(
-    std::vector<std::string>& args, pipeline::EvaluationConfig& cfg,
-    const std::string& out_dir) {
-  if (const auto flag = flag_opt_value(args, "--stage-cache")) {
-    cfg.stage_cache_enabled = true;
-    cfg.stage_cache_dir = *flag;
-  }
-  if (!cfg.stage_cache_enabled) return nullptr;
-  if (cfg.stage_cache_dir.empty()) {
-    cfg.stage_cache_dir =
-        (std::filesystem::path(out_dir) / "stage_cache").string();
-  }
-  pipeline::StageStore::Options opts;
-  opts.dir = cfg.stage_cache_dir;
-  return std::make_shared<pipeline::StageStore>(std::move(opts));
-}
-
 // One pool for the whole process, sized on first use, so the sweep/report/
 // missions subcommands (and any future multi-sweep command) share workers
 // instead of spinning up a pool per sweep.
@@ -240,7 +218,10 @@ pipeline::SweepResult cli_sweep(std::vector<std::string>& args, ObsFlags& fl) {
       (std::filesystem::path(fl.out_dir) / "ramp_sweep_cache.csv").string();
   opts.observer = &progress;
   opts.pool = &shared_pool(jobs);
-  opts.stage_store = resolve_stage_store(args, cfg, fl.out_dir);
+  // The store persists under <out-dir>/stage_cache unless --stage-cache /
+  // RAMP_STAGE_CACHE say otherwise (see pipeline::stage_cache_dir).
+  cfg.stage_cache_dir = pipeline::stage_cache_dir(
+      fl.out_dir, flag_opt_value(args, "--stage-cache"), true);
   return pipeline::SweepRunner(cfg, opts).run();
 }
 
@@ -322,11 +303,16 @@ int cmd_evaluate(std::vector<std::string> args) {
   cfg.trace_instructions = flag_u64(args, "--trace-len", cfg.trace_instructions);
   flag_sim_mode(args, cfg);
   const std::string out_dir = flag_str(args, "--out-dir", output_dir());
-  const auto stage_store = resolve_stage_store(args, cfg, out_dir);
+  // Uncached unless --stage-cache / RAMP_STAGE_CACHE name a store.
+  const pipeline::StageStore::Options so{
+      .dir = pipeline::stage_cache_dir(
+          out_dir, flag_opt_value(args, "--stage-cache"), false)};
   const auto& w = workloads::workload(args[0]);
   const auto node = parse_node(args[1]);
 
-  const pipeline::Evaluator ev(cfg, stage_store);
+  const pipeline::Evaluator ev(
+      cfg,
+      so.dir.empty() ? nullptr : std::make_shared<pipeline::StageStore>(so));
   const auto base = ev.evaluate(w, scaling::TechPoint::k180nm);
   const auto r = node == scaling::TechPoint::k180nm
                      ? base
@@ -488,8 +474,8 @@ int cmd_serve(std::vector<std::string> args) {
       static_cast<std::size_t>(flag_u64(args, "--max-conns", 256));
   const auto max_queued =
       static_cast<std::size_t>(flag_u64(args, "--max-queued", 1024));
-  const std::optional<std::string> stage_flag =
-      flag_opt_value(args, "--stage-cache");
+  const std::string stage_dir = pipeline::stage_cache_dir(
+      out_dir, flag_opt_value(args, "--stage-cache"), true);
   const bool request_trace = flag_present(args, "--request-trace");
   const std::optional<std::string> slow_log_flag =
       flag_opt_value(args, "--slow-log");
@@ -533,47 +519,21 @@ int cmd_serve(std::vector<std::string> args) {
   serve::ignore_sigpipe();
   volatile std::sig_atomic_t* drain = serve::install_drain_handlers();
 
-  // Builds one service's options; `suffix` keeps shard workers' persistent
-  // and stage caches disjoint (each shard owns its keyspace slice).
-  const auto make_service_opts = [&](const std::string& suffix,
-                                     pipeline::EvaluationConfig& c) {
-    serve::EvalService::Options o;
-    o.jobs = jobs;
-    o.cache_capacity = cache_capacity;
-    o.max_pending = max_pending;
-    if (!no_persist && c.cache_enabled) {
-      o.persist_dir =
-          (std::filesystem::path(out_dir) / ("serve_cache" + suffix))
-              .string();
-    }
-    if (stage_flag) {
-      c.stage_cache_enabled = true;
-      c.stage_cache_dir = *stage_flag;
-    }
-    if (c.stage_cache_enabled) {
-      if (c.stage_cache_dir.empty()) {
-        c.stage_cache_dir =
-            (std::filesystem::path(out_dir) / ("stage_cache" + suffix))
-                .string();
-      } else if (!suffix.empty()) {
-        c.stage_cache_dir += suffix;
-      }
-      pipeline::StageStore::Options so;
-      so.dir = c.stage_cache_dir;
-      o.stage_store = std::make_shared<pipeline::StageStore>(std::move(so));
-    }
-    return o;
-  };
+  serve::EvalService::Options opts;
+  opts.jobs = jobs;
+  opts.cache_capacity = cache_capacity;
+  opts.max_pending = max_pending;
+  cfg.stage_cache_dir = no_persist ? "" : stage_dir;
+  const std::string persist =
+      cfg.stage_cache_dir.empty() ? "off" : cfg.stage_cache_dir;
 
   int rc = 0;
   if (listen.empty()) {
     // stdio mode.
-    serve::EvalService::Options opts = make_service_opts("", cfg);
     serve::EvalService service(cfg, opts);
     std::fprintf(stderr,
-                 "ramp serve: %zu worker(s), cache %zu entries, persist %s\n",
-                 opts.jobs, opts.cache_capacity,
-                 opts.persist_dir.empty() ? "off" : opts.persist_dir.c_str());
+                 "ramp serve: %zu worker(s), cache %zu results, persist %s\n",
+                 opts.jobs, opts.cache_capacity, persist.c_str());
     serve::StdioOptions sopts;
     sopts.drain_flag = drain;
     sopts.request_trace = request_trace;
@@ -583,7 +543,6 @@ int cmd_serve(std::vector<std::string> args) {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;
     parse_listen(listen, &host, &port);
-    serve::EvalService::Options opts = make_service_opts("", cfg);
     serve::EvalService service(cfg, opts);
     net::ServerOptions sopts;
     sopts.host = host;
@@ -598,9 +557,9 @@ int cmd_serve(std::vector<std::string> args) {
     write_port_file(port_file, server.port());
     std::fprintf(stderr,
                  "ramp serve: listening on %s:%u, %zu worker(s), cache %zu "
-                 "entries, persist %s\n",
+                 "results, persist %s\n",
                  host.c_str(), server.port(), opts.jobs, opts.cache_capacity,
-                 opts.persist_dir.empty() ? "off" : opts.persist_dir.c_str());
+                 persist.c_str());
     rc = server.run();
   } else {
     // Sharded TCP mode: the parent proxies, the forked workers serve.
@@ -622,10 +581,12 @@ int cmd_serve(std::vector<std::string> args) {
     };
     rc = net::run_sharded_front(
         fopts, [&](std::size_t shard, net::OwnedFd listener) {
+          // Disjoint store directories: each shard owns its keyspace slice.
           pipeline::EvaluationConfig ccfg = cfg;
-          serve::EvalService::Options copts = make_service_opts(
-              "/shard-" + std::to_string(shard), ccfg);
-          serve::EvalService service(ccfg, copts);
+          if (!ccfg.stage_cache_dir.empty()) {
+            ccfg.stage_cache_dir += "/shard-" + std::to_string(shard);
+          }
+          serve::EvalService service(ccfg, opts);
           net::ServerOptions sopts;
           sopts.listen_fd = listener.release();
           sopts.max_connections = max_conns;
@@ -702,7 +663,8 @@ int cmd_fleet(std::vector<std::string> args) {
   const std::string ab_policy = flag_str(args, "--ab", "");
 
   fleet::FleetSimulator::Options opts;
-  opts.stage_store = resolve_stage_store(args, sc.cell, out_dir);
+  sc.cell.stage_cache_dir = pipeline::stage_cache_dir(
+      out_dir, flag_opt_value(args, "--stage-cache"), false);
   opts.pool = &shared_pool(jobs);
   if (!args.empty()) {
     std::fprintf(stderr, "fleet: unknown argument '%s'\n", args.front().c_str());
@@ -906,11 +868,14 @@ int usage() {
                "and, like serve, --trace-out FILE to write a Chrome\n"
                "trace-event JSON for ui.perfetto.dev. Env equivalents:\n"
                "RAMP_TIMELINE[=DIR], RAMP_TRACE_OUT=FILE.\n"
-               "Stage cache: evaluate/sweep/report/missions/serve take\n"
-               "--stage-cache[=DIR] to memoize per-stage pipeline outputs\n"
-               "(trace/sim/power/thermal/fit) content-addressed on disk\n"
-               "(default DIR <out-dir>/stage_cache; results are identical,\n"
-               "only faster). Env equivalent: RAMP_STAGE_CACHE[=DIR].\n"
+               "Stage cache: the one result cache; every trace/sim/power/\n"
+               "thermal/fit output is memoized under its content-addressed\n"
+               "stage key (results are identical, only faster). sweep/report/\n"
+               "missions/serve persist it under <out-dir>/stage_cache,\n"
+               "evaluate/fleet only with --stage-cache[=DIR]; env equivalent\n"
+               "RAMP_STAGE_CACHE=on|off|DIR (off = memory-only). serve\n"
+               "--no-persist keeps it in memory; --cache-capacity N (default\n"
+               "512) sizes its memory tier to 512 + 5*N entries.\n"
                "Sim mode: evaluate/sweep/report/missions/serve/fleet take\n"
                "--sim-mode detailed|sampled|interval|auto to pick the timing\n"
                "estimator (default detailed; sampled/interval trade <=2%% IPC\n"
