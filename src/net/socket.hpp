@@ -1,7 +1,7 @@
 // Thin POSIX socket helpers for the net subsystem: RAII fd ownership plus
-// the handful of TCP operations the server, the shard front, and the load
-// generator share. Throws ramp::InvalidArgument (bad address) or
-// std::runtime_error (syscall failure) — no errno leaks past this layer.
+// the handful of TCP operations the server and the load generator share.
+// Throws ramp::InvalidArgument (bad address) or std::runtime_error (syscall
+// failure) — no errno leaks past this layer.
 #pragma once
 
 #include <cstdint>

@@ -73,14 +73,14 @@ struct EvaluationConfig {
   /// config_hash.
   std::string stage_cache_dir;
   /// Timing-simulation mode (see sim/sim_mode.hpp): detailed cycle-accurate
-  /// OooCore (default), SMARTS-style sampled, the analytical interval
-  /// model, or auto (resolved per run by resolved_sim_mode()). Fast modes
-  /// change sim-stage results, so the *resolved* mode and its sampling
-  /// parameters join config_hash / the sim stage key whenever it is not
-  /// detailed — the detailed hash and `sim.v1` key stay frozen, keeping
-  /// warm caches valid and default output byte-identical.
+  /// OooCore (default), SMARTS-style sampled, or auto (resolved per run by
+  /// resolved_sim_mode()). Sampled mode changes sim-stage results, so the
+  /// *resolved* mode and its sampling parameters join config_hash / the sim
+  /// stage key whenever it is not detailed — the detailed hash and `sim.v1`
+  /// key stay frozen, keeping warm caches valid and default output
+  /// byte-identical.
   sim::SimMode sim_mode = sim::SimMode::kDetailed;
-  /// Sampling parameters for sampled mode (ignored by other modes).
+  /// Sampling parameters for sampled mode (ignored by detailed).
   sim::SampledParams sampled{};
 
   /// The single place the environment overrides are read:

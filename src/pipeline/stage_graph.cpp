@@ -8,7 +8,6 @@
 #include "core/ramp_model.hpp"
 #include "obs/timeline.hpp"
 #include "sim/core_config.hpp"
-#include "sim/interval_model.hpp"
 #include "sim/ooo_core.hpp"
 #include "sim/sampled_core.hpp"
 #include "thermal/floorplan.hpp"
@@ -98,21 +97,16 @@ StageKey sim_stage_key(const StageKey& trace_key, double frequency_hz,
   const std::string base = "|up=(" + trace_key.canonical +
                            ")|f=" + fmt17(frequency_hz) +
                            "|dt=" + fmt17(interval_seconds);
-  switch (mode) {
-    case sim::SimMode::kSampled:
-      // The sampling parameters shape the estimate, so they are part of the
-      // payload's identity.
-      return {"sim.sampled.v1" + base + "|p=" + std::to_string(sampled.period) +
-              "|w=" + std::to_string(sampled.warmup) +
-              "|m=" + std::to_string(sampled.measure) +
-              "|k=" + std::to_string(sampled.windows)};
-    case sim::SimMode::kInterval:
-      return {"sim.interval.v1" + base +
-              "|k=" + std::to_string(sim::kIntervalModelCalibration)};
-    default:
-      // Detailed keeps the frozen PR 6 tag: warm caches stay valid.
-      return {"sim.v1" + base};
+  if (mode == sim::SimMode::kSampled) {
+    // The sampling parameters shape the estimate, so they are part of the
+    // payload's identity.
+    return {"sim.sampled.v1" + base + "|p=" + std::to_string(sampled.period) +
+            "|w=" + std::to_string(sampled.warmup) +
+            "|m=" + std::to_string(sampled.measure) +
+            "|k=" + std::to_string(sampled.windows)};
   }
+  // Detailed keeps the frozen PR 6 tag: warm caches stay valid.
+  return {"sim.v1" + base};
 }
 
 StageKey power_stage_key(const StageKey& sim_key,
@@ -209,9 +203,7 @@ void record_sim_mode_metrics(sim::SimMode mode,
   reg.gauge("ramp_sim_coverage_fraction").set(fast.coverage);
   reg.gauge("ramp_sim_ipc_half_width").set(fast.ipc_half_width);
   reg.gauge("ramp_sim_activity_half_width").set(fast.activity_half_width);
-  if (mode == sim::SimMode::kSampled) {
-    reg.counter("ramp_sim_sampled_units_total").inc(fast.units);
-  }
+  reg.counter("ramp_sim_sampled_units_total").inc(fast.units);
 }
 
 }  // namespace
@@ -232,24 +224,13 @@ SimStageOut run_sim_stage(const EvaluationConfig& cfg,
   const auto sim_start = profile ? Clock::now() : Clock::time_point{};
   SimStageOut out;
   sim::FastSimStats fast;
-  switch (mode) {
-    case sim::SimMode::kSampled: {
-      sim::SampledCore core(core_cfg, cfg.sampled);
-      out.result = core.run(stream, interval_cycles);
-      fast = core.fast_stats();
-      break;
-    }
-    case sim::SimMode::kInterval: {
-      sim::IntervalModel model(core_cfg);
-      out.result = model.run(stream, interval_cycles);
-      fast = model.fast_stats();
-      break;
-    }
-    default: {
-      sim::OooCore core(core_cfg);
-      out.result = core.run(stream, interval_cycles);
-      break;
-    }
+  if (mode == sim::SimMode::kSampled) {
+    sim::SampledCore core(core_cfg, cfg.sampled);
+    out.result = core.run(stream, interval_cycles);
+    fast = core.fast_stats();
+  } else {
+    sim::OooCore core(core_cfg);
+    out.result = core.run(stream, interval_cycles);
   }
   if (profile) {
     prof.record_cell_timed(obs::Stage::kSim, cell, sim_start, Clock::now());
@@ -261,7 +242,8 @@ SimStageOut run_sim_stage(const EvaluationConfig& cfg,
 
 PowerStageOut run_power_stage(const EvaluationConfig& cfg,
                               const scaling::TechnologyNode& tech,
-                              double power_bias, const sim::SimResult& sim,
+                              double power_bias,
+                              const sim::SimResult& sim_result,
                               const std::string& cell) {
   using Clock = std::chrono::steady_clock;
   obs::Profiler& prof = obs::Profiler::global();
@@ -281,11 +263,11 @@ PowerStageOut run_power_stage(const EvaluationConfig& cfg,
   PowerStageOut out;
   // Average dynamic power over the whole run — the "first run" of the
   // paper's two-run methodology.
-  out.avg_dynamic = biased_dynamic(sim.totals.avg_activity);
-  const std::size_t n = sim.intervals.size();
+  out.avg_dynamic = biased_dynamic(sim_result.totals.avg_activity);
+  const std::size_t n = sim_result.intervals.size();
   out.dynamic.reserve(n);
   out.dynamic_total.reserve(n);
-  for (const auto& iv : sim.intervals) {
+  for (const auto& iv : sim_result.intervals) {
     const power::StructurePower dyn = biased_dynamic(iv.activity);
     double dyn_total = 0.0;
     for (double v : dyn) dyn_total += v;
@@ -420,14 +402,14 @@ ThermalStageOut run_thermal_stage(const EvaluationConfig& cfg,
 
 AppTechResult run_fit_stage(const EvaluationConfig& cfg,
                             const scaling::TechnologyNode& tech,
-                            const sim::SimResult& sim,
+                            const sim::SimResult& sim_result,
                             const PowerStageOut& power,
                             const ThermalStageOut& thermal,
                             const std::string& cell) {
   using Clock = std::chrono::steady_clock;
   obs::Profiler& prof = obs::Profiler::global();
   const bool profile = prof.enabled();
-  const std::size_t n = sim.intervals.size();
+  const std::size_t n = sim_result.intervals.size();
   RAMP_ASSERT(power.dynamic_total.size() == n);
   RAMP_ASSERT(thermal.struct_temps.size() == n);
   RAMP_ASSERT(thermal.block_total.size() == n);
@@ -461,7 +443,7 @@ AppTechResult run_fit_stage(const EvaluationConfig& cfg,
 
   const auto loop_start = profile ? Clock::now() : Clock::time_point{};
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& iv = sim.intervals[i];
+    const auto& iv = sim_result.intervals[i];
     const double duration =
         static_cast<double>(iv.cycles) / core_cfg.frequency_hz;
     const double dyn_total = power.dynamic_total[i];
@@ -521,7 +503,7 @@ AppTechResult run_fit_stage(const EvaluationConfig& cfg,
   }
 
   AppTechResult r;  // app/tech are the caller's
-  r.ipc = sim.totals.ipc();
+  r.ipc = sim_result.totals.ipc();
   r.avg_dynamic_power_w = dyn_power_avg.mean();
   r.avg_leakage_power_w = leak_power_avg.mean();
   r.avg_total_power_w = r.avg_dynamic_power_w + r.avg_leakage_power_w;
@@ -530,7 +512,7 @@ AppTechResult run_fit_stage(const EvaluationConfig& cfg,
   r.avg_die_temp_k = tracker.avg_die_temperature();
   r.max_activity = tracker.max_activity();
   r.raw_fits = tracker.summary();
-  r.run = sim.totals;
+  r.run = sim_result.totals;
   r.interval_trace = std::move(samples);
   if (timeline) {
     r.timeline.cell = cell;

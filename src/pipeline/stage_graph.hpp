@@ -16,10 +16,9 @@
 //
 // Key derivation (see docs/API_GUIDE.md "Stage graph & caching"):
 //   trace   app name, generator profile, trace_instructions, seed
-//   sim     trace key + frequency_hz + interval_seconds; fast sim modes get
-//           their own version tags (sim.sampled.v1 embeds the sampling
-//           parameters, sim.interval.v1 the calibration length) while
-//           detailed keeps the frozen sim.v1 tag
+//   sim     trace key + frequency_hz + interval_seconds; the sampled mode
+//           gets its own version tag (sim.sampled.v1 embeds the sampling
+//           parameters) while detailed keeps the frozen sim.v1 tag
 //   power   sim key + power_bias + unconstrained_w_180nm + clock_gating_floor
 //           + relative_capacitance + vdd + frequency_hz
 //   thermal power key + the nine ThermalConfig fields + leakage_beta
@@ -91,10 +90,10 @@ struct TraceStageIn {
 
 StageKey trace_stage_key(const TraceStageIn& in);
 /// Sim stage key. `mode` must be resolved (never kAuto). Detailed keeps the
-/// frozen `sim.v1` tag; fast modes get their own tags with the parameters
-/// that shape the estimate embedded (`sim.sampled.v1|…|p=…|w=…|m=…|k=…`,
-/// `sim.interval.v1|…`), so a cached fast-path payload can never answer a
-/// detailed request or a differently-parameterized fast one.
+/// frozen `sim.v1` tag; sampled gets its own tag with the parameters that
+/// shape the estimate embedded (`sim.sampled.v1|…|p=…|w=…|m=…|k=…`), so a
+/// cached sampled payload can never answer a detailed request or a
+/// differently-parameterized sampled one.
 StageKey sim_stage_key(const StageKey& trace_key, double frequency_hz,
                        double interval_seconds,
                        sim::SimMode mode = sim::SimMode::kDetailed,
@@ -166,7 +165,8 @@ SimStageOut run_sim_stage(const EvaluationConfig& cfg,
 
 PowerStageOut run_power_stage(const EvaluationConfig& cfg,
                               const scaling::TechnologyNode& tech,
-                              double power_bias, const sim::SimResult& sim,
+                              double power_bias,
+                              const sim::SimResult& sim_result,
                               const std::string& cell);
 
 ThermalStageOut run_thermal_stage(const EvaluationConfig& cfg,
@@ -180,7 +180,7 @@ ThermalStageOut run_thermal_stage(const EvaluationConfig& cfg,
 /// field except app/tech, which the caller owns.
 AppTechResult run_fit_stage(const EvaluationConfig& cfg,
                             const scaling::TechnologyNode& tech,
-                            const sim::SimResult& sim,
+                            const sim::SimResult& sim_result,
                             const PowerStageOut& power,
                             const ThermalStageOut& thermal,
                             const std::string& cell);

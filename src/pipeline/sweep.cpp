@@ -126,20 +126,18 @@ std::uint64_t config_hash(const EvaluationConfig& cfg) {
   h.mix(cfg.thermal.c_silicon);
   h.mix(cfg.thermal.spreader_capacitance);
   h.mix(cfg.thermal.sink_capacitance);
-  // Fast sim modes change sim-stage results, so the *resolved* mode joins
+  // Sampled mode changes sim-stage results, so the *resolved* mode joins
   // the hash — but only then: a detailed config (including auto resolving
   // to detailed) hashes exactly as before, keeping existing sweep caches
   // valid.
   const sim::SimMode mode = resolved_sim_mode(cfg);
-  if (mode != sim::SimMode::kDetailed) {
+  if (mode == sim::SimMode::kSampled) {
     h.mix(std::uint64_t{0x73696d5f6d6f6465});  // "sim_mode" domain separator
     h.mix(static_cast<std::uint64_t>(mode));
-    if (mode == sim::SimMode::kSampled) {
-      h.mix(cfg.sampled.period);
-      h.mix(cfg.sampled.warmup);
-      h.mix(cfg.sampled.measure);
-      h.mix(cfg.sampled.windows);
-    }
+    h.mix(cfg.sampled.period);
+    h.mix(cfg.sampled.warmup);
+    h.mix(cfg.sampled.measure);
+    h.mix(cfg.sampled.windows);
   }
   return h.value();
 }

@@ -81,17 +81,17 @@ Json metrics_reset_response(EvalService& service, const EvalRequest& req,
 /// What the `health` op reports — the front-end owning the transport fills
 /// this in (the stdio loop and the TCP server know different things).
 struct HealthInfo {
-  std::string mode;  ///< "stdio", "tcp", "front" (sharded)
+  std::string mode;  ///< "stdio" or "tcp"
   double uptime_s = 0.0;
   std::uint64_t accepted_connections = 0;
   std::uint64_t active_connections = 0;
   bool draining = false;
-  std::uint64_t shards = 1;
 };
 
 /// {"ok":true,"op":"health","id":...,"mode":...,"uptime_s":...,
 ///  "accepted_connections":...,"active_connections":...,"draining":bool,
-///  "shards":...} — the load-balancer readiness probe.
+///  "shards":1} — the load-balancer readiness probe. `shards` is always 1
+/// (one serve process); it stays so existing probes keep parsing.
 Json health_response(const EvalRequest& req, const HealthInfo& info);
 
 /// One request trace as the `"trace"` object attached to a traced response:
@@ -173,12 +173,6 @@ class Session {
   /// clock can only happen after parsing.
   void enable_request_trace() { trace_all_ = true; }
 
-  /// Installs the `health` op's data source. Without one the session
-  /// answers with stdio defaults (mode "stdio", one connection, no drain).
-  void set_health_provider(std::function<HealthInfo()> provider) {
-    health_provider_ = std::move(provider);
-  }
-
   /// The recent-request ring behind the `trace_dump` op.
   const obs::TraceRing& trace_ring() const { return ring_; }
 
@@ -212,7 +206,6 @@ class Session {
   bool trace_all_ = false;
   obs::TraceRing ring_{256};
   std::uint64_t trace_seq_ = 0;
-  std::function<HealthInfo()> health_provider_;
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 };

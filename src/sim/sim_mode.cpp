@@ -12,8 +12,6 @@ std::string_view sim_mode_name(SimMode mode) {
       return "detailed";
     case SimMode::kSampled:
       return "sampled";
-    case SimMode::kInterval:
-      return "interval";
     case SimMode::kAuto:
       return "auto";
   }
@@ -23,10 +21,9 @@ std::string_view sim_mode_name(SimMode mode) {
 SimMode parse_sim_mode(std::string_view text) {
   if (text == "detailed") return SimMode::kDetailed;
   if (text == "sampled") return SimMode::kSampled;
-  if (text == "interval") return SimMode::kInterval;
   if (text == "auto") return SimMode::kAuto;
   throw InvalidArgument("invalid sim mode '" + std::string(text) +
-                        "' (expected detailed|sampled|interval|auto)");
+                        "' (expected detailed|sampled|auto)");
 }
 
 void SampledParams::validate() const {

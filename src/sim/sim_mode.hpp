@@ -1,27 +1,22 @@
 // Timing-simulation mode selection for the sim stage.
 //
-// The pipeline can estimate IPC and per-structure activity three ways:
+// The pipeline can estimate IPC and per-structure activity two ways:
 //
 //   detailed — the cycle-accurate OooCore (the reference; default).
 //   sampled  — SMARTS-style systematic sampling (SampledCore): short
 //              detailed measurement units separated by a functional
 //              fast-forward that keeps caches and the branch predictor
 //              warm.  Reports statistical confidence bounds.
-//   interval — an analytical scoreboard/interval model (IntervalModel)
-//              driven by functionally-collected miss and mispredict
-//              events, calibrated against a detailed prefix of the run.
-//   auto     — resolves per run: detailed for short traces (where the
-//              fast paths cannot amortize their fixed cost), sampled
-//              otherwise.  Never resolves to interval.
+//   auto     — resolves per run: detailed for short traces (where sampling
+//              cannot amortize its fixed cost), sampled otherwise.
 //
-// Fast modes trade exactness for speed under a documented tolerance
-// contract (sampled: ±2% IPC, ±0.02 absolute activity vs OooCore on the
-// synthetic suite from ~1M trace instructions; interval: coarser, ±5%
-// IPC; see docs/PERFORMANCE.md and `ramp simcheck`).  Because their
-// results differ from detailed ones, the resolved mode and its sampling
-// parameters are embedded in sim-stage cache keys and in the sweep
-// config hash — a cached fast-path payload can never answer a detailed
-// request.
+// Sampling trades exactness for speed under a documented tolerance
+// contract (±2% IPC, ±0.02 absolute activity vs OooCore on the synthetic
+// suite from ~1M trace instructions; see docs/PERFORMANCE.md and
+// `ramp simcheck`).  Because its results differ from detailed ones, the
+// resolved mode and its sampling parameters are embedded in sim-stage cache
+// keys and in the sweep config hash — a cached sampled payload can never
+// answer a detailed request.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +27,10 @@ namespace ramp::sim {
 enum class SimMode : std::uint8_t {
   kDetailed = 0,
   kSampled = 1,
-  kInterval = 2,
   kAuto = 3,
 };
 
-/// Canonical lower-case name ("detailed" | "sampled" | "interval" | "auto").
+/// Canonical lower-case name ("detailed" | "sampled" | "auto").
 std::string_view sim_mode_name(SimMode mode);
 
 /// Parses a canonical mode name.  Throws InvalidArgument on anything else —
@@ -68,7 +62,7 @@ struct SampledParams {
   void validate() const;
 };
 
-/// Estimator metadata the fast paths report alongside a SimResult.  Purely
+/// Estimator metadata the sampled path reports alongside a SimResult.  Purely
 /// observational: surfaced through obs::MetricsRegistry, never serialized
 /// into stage payloads (the RunStats codec layout is frozen).
 struct FastSimStats {

@@ -1,104 +1,20 @@
-// Unit tests for the net building blocks: consistent-hash ring placement
-// (deterministic, balanced, stable under resize), epoll event loop
-// semantics (dispatch, modify, safe removal mid-batch, cross-thread wake),
-// and the socket helpers (ephemeral bind, connect/accept round trip).
+// Unit tests for the net building blocks: epoll event loop semantics
+// (dispatch, modify, safe removal mid-batch, cross-thread wake), and the
+// socket helpers (ephemeral bind, connect/accept round trip).
 #include <gtest/gtest.h>
 #include <sys/epoll.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <map>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "net/event_loop.hpp"
-#include "net/hash_ring.hpp"
-#include "net/shard.hpp"
 #include "net/socket.hpp"
-#include "serve/request.hpp"
 #include "util/error.hpp"
 
 namespace ramp::net {
 namespace {
-
-TEST(HashRingTest, PlacementIsDeterministic) {
-  const HashRing a(4), b(4);
-  for (int i = 0; i < 1000; ++i) {
-    const std::string key = "key-" + std::to_string(i);
-    EXPECT_EQ(a.shard_for(key), b.shard_for(key));
-  }
-}
-
-TEST(HashRingTest, EveryShardOwnsAFairShare) {
-  constexpr std::size_t kShards = 4;
-  const HashRing ring(kShards);
-  std::map<std::size_t, int> counts;
-  constexpr int kKeys = 20'000;
-  for (int i = 0; i < kKeys; ++i) {
-    const std::size_t s = ring.shard_for("app=gcc|node=" + std::to_string(i));
-    ASSERT_LT(s, kShards);
-    counts[s]++;
-  }
-  // 64 vnodes per shard keeps shares near uniform; accept a 2x band.
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_GT(counts[s], kKeys / (2 * static_cast<int>(kShards)))
-        << "shard " << s << " starved";
-    EXPECT_LT(counts[s], kKeys / static_cast<int>(kShards) * 2)
-        << "shard " << s << " overloaded";
-  }
-}
-
-TEST(HashRingTest, ResizeMovesOnlyASliverOfTheKeyspace) {
-  const HashRing before(4), after(5);
-  constexpr int kKeys = 20'000;
-  int moved = 0;
-  for (int i = 0; i < kKeys; ++i) {
-    const std::string key = "key-" + std::to_string(i);
-    if (before.shard_for(key) != after.shard_for(key)) moved++;
-  }
-  // Consistent hashing moves ~1/5 of keys on 4 -> 5; hash % N would move
-  // ~4/5. The midpoint separates the two behaviors decisively.
-  EXPECT_LT(moved, kKeys / 2);
-  EXPECT_GT(moved, 0);
-}
-
-TEST(HashRingTest, SingleShardOwnsEverything) {
-  const HashRing ring(1);
-  for (int i = 0; i < 100; ++i)
-    EXPECT_EQ(ring.shard_for(std::to_string(i)), 0u);
-}
-
-TEST(HashRingTest, EvalsDifferingOnlyInNodeOrSinkShareAShard) {
-  // The front routes by trace key: every cell of one (app, trace length,
-  // seed) — the pinned 180 nm base included — lands on one shard.
-  const HashRing ring(4);
-  const pipeline::EvaluationConfig base;
-  const auto shard_of = [&](const std::string& line) {
-    return ring.shard_for(eval_route_key(serve::parse_request(line), base));
-  };
-  const std::size_t home =
-      shard_of(R"({"op":"eval","app":"gcc","node":"180"})");
-  for (const char* line :
-       {R"({"op":"eval","app":"gcc","node":"90"})",
-        R"({"op":"eval","app":"gcc","node":"65-1.0","sink_k":350})",
-        R"({"op":"eval","app":"gcc","node":"130","pin_sink":false})",
-        R"({"op":"eval","app":"gcc","node":"65-0.9","sink_k":341.5})"}) {
-    EXPECT_EQ(shard_of(line), home) << line;
-  }
-  // The key still separates apps, trace lengths and seeds.
-  const auto key = [&](const std::string& line) {
-    return eval_route_key(serve::parse_request(line), base);
-  };
-  const std::string gcc = key(R"({"op":"eval","app":"gcc","node":"90"})");
-  EXPECT_NE(key(R"({"op":"eval","app":"mesa","node":"90"})"), gcc);
-  EXPECT_NE(key(R"({"op":"eval","app":"gcc","node":"90","seed":7})"), gcc);
-  EXPECT_NE(key(R"({"op":"eval","app":"gcc","node":"90","trace_len":9})"),
-            gcc);
-  // An explicit trace length equal to the base config's is the same key.
-  EXPECT_EQ(key(R"({"op":"eval","app":"gcc","node":"90","trace_len":300000})"),
-            gcc);
-}
 
 TEST(EventLoopTest, DispatchesReadableFd) {
   EventLoop loop;

@@ -4,6 +4,7 @@
 // stage store's memory tier, the 180 nm base run is shared across nodes,
 // and persisted rows round-trip across service instances.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -215,8 +216,16 @@ TEST(EvalServiceTest, RejectsBrokenOptions) {
 
 class PersistCacheTest : public ::testing::Test {
  protected:
+  // One directory per test and process: ctest runs each case as its own
+  // process, in parallel, so a shared name would mix their store files.
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "ramp_serve_test_persist").string();
+    dir_ = (fs::temp_directory_path() /
+            ("ramp_serve_test_persist_" +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
+             "_" + std::to_string(::getpid())))
+               .string();
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -387,8 +396,9 @@ TEST(ServeLoopTest, MetricsOpReturnsParseablePrometheusText) {
   const auto responses = run_serve(
       "{\"op\":\"eval\",\"app\":\"gcc\",\"node\":\"90\",\"id\":1}\n"
       "{\"op\":\"metrics\",\"id\":\"m\"}\n"
+      "{\"op\":\"metrics\",\"format\":\"json\",\"id\":\"mj\"}\n"
       "{\"op\":\"shutdown\"}\n");
-  ASSERT_EQ(responses.size(), 3u);
+  ASSERT_EQ(responses.size(), 4u);
 
   const Json& metrics = responses[1];
   EXPECT_TRUE(metrics.find("ok")->as_bool());
@@ -404,6 +414,18 @@ TEST(ServeLoopTest, MetricsOpReturnsParseablePrometheusText) {
   EXPECT_DOUBLE_EQ(samples.at("ramp_serve_evaluations_total"), 2.0);
   EXPECT_DOUBLE_EQ(samples.at("ramp_serve_latency_seconds_count"), 1.0);
   EXPECT_GE(samples.at("ramp_serve_latency_seconds_sum"), 0.0);
+
+  // "format":"json" carries the same counters as a raw snapshot object.
+  const Json& snap = responses[2];
+  ASSERT_TRUE(snap.find("ok")->as_bool());
+  EXPECT_EQ(snap.find("id")->as_string(), "mj");
+  const Json* snapshot = snap.find("snapshot");
+  ASSERT_NE(snapshot, nullptr);
+  ASSERT_NE(snapshot->find("counters"), nullptr);
+  EXPECT_DOUBLE_EQ(
+      snapshot->find("counters")->find("ramp_serve_requests_total")
+          ->as_number(),
+      1.0);
 }
 
 // The metrics_reset op zeroes the service counters without touching the

@@ -16,7 +16,6 @@
 #include "pipeline/stage_graph.hpp"
 #include "pipeline/sweep.hpp"
 #include "scaling/technology.hpp"
-#include "sim/interval_model.hpp"
 #include "sim/ooo_core.hpp"
 #include "sim/sampled_core.hpp"
 #include "sim/sim_mode.hpp"
@@ -54,7 +53,7 @@ class ScopedEnv {
 
 TEST(SimModeTest, NamesRoundTrip) {
   for (const auto mode : {sim::SimMode::kDetailed, sim::SimMode::kSampled,
-                          sim::SimMode::kInterval, sim::SimMode::kAuto}) {
+                          sim::SimMode::kAuto}) {
     EXPECT_EQ(sim::parse_sim_mode(sim::sim_mode_name(mode)), mode);
   }
 }
@@ -64,6 +63,7 @@ TEST(SimModeTest, ParseRejectsUnknownSpellings) {
   EXPECT_THROW(sim::parse_sim_mode("Detailed"), InvalidArgument);
   EXPECT_THROW(sim::parse_sim_mode("SAMPLED"), InvalidArgument);
   EXPECT_THROW(sim::parse_sim_mode("fast"), InvalidArgument);
+  EXPECT_THROW(sim::parse_sim_mode("interval"), InvalidArgument);
 }
 
 TEST(SimModeTest, SampledParamsValidate) {
@@ -93,24 +93,22 @@ TEST(SimModeTest, AutoResolvesBySamplingPayoffThreshold) {
   cfg.trace_instructions = 1'000'000;
   EXPECT_EQ(resolved_sim_mode(cfg), sim::SimMode::kSampled);
 
-  // Explicit modes resolve to themselves at any length; auto never picks
-  // the interval model.
+  // Explicit modes resolve to themselves at any length.
   cfg.trace_instructions = 1'000;
-  for (const auto mode : {sim::SimMode::kDetailed, sim::SimMode::kSampled,
-                          sim::SimMode::kInterval}) {
+  for (const auto mode : {sim::SimMode::kDetailed, sim::SimMode::kSampled}) {
     cfg.sim_mode = mode;
     EXPECT_EQ(resolved_sim_mode(cfg), mode);
   }
 }
 
 TEST(SimModeTest, FromEnvReadsSimVariables) {
-  ScopedEnv mode("RAMP_SIM_MODE", "interval");
+  ScopedEnv mode("RAMP_SIM_MODE", "sampled");
   ScopedEnv period("RAMP_SIM_PERIOD", "50000");
   ScopedEnv warmup("RAMP_SIM_WARMUP", "2600");
   ScopedEnv measure("RAMP_SIM_MEASURE", "3000");
   ScopedEnv windows("RAMP_SIM_WINDOWS", "3");
   const EvaluationConfig cfg = EvaluationConfig::from_env();
-  EXPECT_EQ(cfg.sim_mode, sim::SimMode::kInterval);
+  EXPECT_EQ(cfg.sim_mode, sim::SimMode::kSampled);
   EXPECT_EQ(cfg.sampled.period, 50'000u);
   EXPECT_EQ(cfg.sampled.warmup, 2'600u);
   EXPECT_EQ(cfg.sampled.measure, 3'000u);
@@ -121,6 +119,10 @@ TEST(SimModeTest, FromEnvIsStrictAboutSimVariables) {
   {
     ScopedEnv mode("RAMP_SIM_MODE", "quick");  // misspelled: must not fall
     EXPECT_THROW(EvaluationConfig::from_env(), InvalidArgument);  // back
+  }
+  {
+    ScopedEnv mode("RAMP_SIM_MODE", "interval");
+    EXPECT_THROW(EvaluationConfig::from_env(), InvalidArgument);
   }
   {
     ScopedEnv mode("RAMP_SIM_MODE", "sampled");
@@ -162,13 +164,8 @@ TEST(SimStageKeyTest, FastModesGetTheirOwnKeys) {
   const std::string detailed = sim_stage_key(trace, 1e9, 1e-6).canonical;
   const std::string sampled =
       sim_stage_key(trace, 1e9, 1e-6, sim::SimMode::kSampled).canonical;
-  const std::string interval =
-      sim_stage_key(trace, 1e9, 1e-6, sim::SimMode::kInterval).canonical;
   EXPECT_NE(sampled, detailed);
-  EXPECT_NE(interval, detailed);
-  EXPECT_NE(sampled, interval);
   EXPECT_EQ(sampled.rfind("sim.sampled.v1|", 0), 0u) << sampled;
-  EXPECT_EQ(interval.rfind("sim.interval.v1|", 0), 0u) << interval;
 }
 
 TEST(SimStageKeyTest, SampledKeyEmbedsEverySamplingParameter) {
@@ -209,12 +206,8 @@ TEST(SimFastConfigHashTest, FastModesJoinHashAndCanonicalString) {
   EvaluationConfig detailed;
   EvaluationConfig sampled = detailed;
   sampled.sim_mode = sim::SimMode::kSampled;
-  EvaluationConfig interval = detailed;
-  interval.sim_mode = sim::SimMode::kInterval;
 
   EXPECT_NE(config_hash(sampled), config_hash(detailed));
-  EXPECT_NE(config_hash(interval), config_hash(detailed));
-  EXPECT_NE(config_hash(sampled), config_hash(interval));
 
   EvaluationConfig rewindowed = sampled;
   rewindowed.sampled.windows += 1;
@@ -290,34 +283,24 @@ double max_activity_error(const sim::SimResult& est,
 
 TEST(SimFastAccuracyTest, EstimatorsHoldToleranceOnGzipAt2M) {
   // One representative cell of the contract `ramp simcheck` enforces over
-  // the whole suite: ±2% IPC / ±0.02 activity for sampled, ±5% IPC for the
-  // interval model, at the 2M-instruction length the contract is sold for.
+  // the whole suite: ±2% IPC / ±0.02 activity for sampled, at the
+  // 2M-instruction length the contract is sold for.
   const auto& w = workloads::workload("gzip");
   constexpr std::uint64_t kInstructions = 2'000'000;
   const Reference ref(w, kInstructions);
 
-  {
-    trace::SyntheticTrace t(w.profile, kInstructions, 42);
-    sim::SampledCore core(ref.cfg, sim::SampledParams{});
-    const sim::SimResult est = core.run(t, ref.interval_cycles);
-    EXPECT_LE(rel_ipc_error(est, ref.detailed), 0.02);
-    EXPECT_LE(max_activity_error(est, ref.detailed), 0.02);
+  trace::SyntheticTrace t(w.profile, kInstructions, 42);
+  sim::SampledCore core(ref.cfg, sim::SampledParams{});
+  const sim::SimResult est = core.run(t, ref.interval_cycles);
+  EXPECT_LE(rel_ipc_error(est, ref.detailed), 0.02);
+  EXPECT_LE(max_activity_error(est, ref.detailed), 0.02);
 
-    const sim::FastSimStats& stats = core.fast_stats();
-    EXPECT_EQ(stats.mode, sim::SimMode::kSampled);
-    EXPECT_GT(stats.coverage, 0.0);
-    EXPECT_LT(stats.coverage, 0.2);  // the speedup exists at all
-    EXPECT_GE(stats.units, 10u);
-    EXPECT_GT(stats.ipc_half_width, 0.0);
-  }
-  {
-    trace::SyntheticTrace t(w.profile, kInstructions, 42);
-    sim::IntervalModel model(ref.cfg);
-    const sim::SimResult est = model.run(t, ref.interval_cycles);
-    EXPECT_LE(rel_ipc_error(est, ref.detailed), 0.05);
-    EXPECT_LE(max_activity_error(est, ref.detailed), 0.02);
-    EXPECT_EQ(model.fast_stats().mode, sim::SimMode::kInterval);
-  }
+  const sim::FastSimStats& stats = core.fast_stats();
+  EXPECT_EQ(stats.mode, sim::SimMode::kSampled);
+  EXPECT_GT(stats.coverage, 0.0);
+  EXPECT_LT(stats.coverage, 0.2);  // the speedup exists at all
+  EXPECT_GE(stats.units, 10u);
+  EXPECT_GT(stats.ipc_half_width, 0.0);
 }
 
 TEST(SimFastDeterminismTest, SampledRerunIsExactlyIdentical) {

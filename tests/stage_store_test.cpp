@@ -315,10 +315,6 @@ TEST(StageKeyTest, EveryResultInputReachesTheFitKey) {
        nullptr},
       cfg_field("interval_seconds", &EvaluationConfig::interval_seconds),
       {"sim_mode sampled", sampled, nullptr},
-      {"sim_mode interval",
-       [](EvaluationConfig& c, workloads::Workload&) {
-         c.sim_mode = sim::SimMode::kInterval;
-       }, nullptr},
       {"sim_mode auto resolving to sampled",
        [](EvaluationConfig& c, workloads::Workload&) {
          c.sim_mode = sim::SimMode::kAuto;

@@ -2,9 +2,11 @@
 #include "trace/trace_io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "sim/ooo_core.hpp"
 #include "trace/synthetic_generator.hpp"
@@ -16,7 +18,12 @@ namespace {
 
 class TraceIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "ramp_trace_test.bin";
+  // One file per test and process: ctest runs each case as its own process,
+  // in parallel, so a shared name would let one case truncate another's.
+  std::string path_ =
+      ::testing::TempDir() + "ramp_trace_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".bin";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

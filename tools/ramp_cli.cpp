@@ -30,7 +30,6 @@
 #include "fleet/fleet_simulator.hpp"
 #include "fleet/scenario.hpp"
 #include "net/server.hpp"
-#include "net/shard.hpp"
 #include "net/socket.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -43,7 +42,6 @@
 #include "serve/eval_service.hpp"
 #include "serve/server.hpp"
 #include "sim/core_config.hpp"
-#include "sim/interval_model.hpp"
 #include "sim/ooo_core.hpp"
 #include "sim/sampled_core.hpp"
 #include "sim/sim_mode.hpp"
@@ -99,7 +97,7 @@ double flag_double(std::vector<std::string>& args, const std::string& flag,
   return v;
 }
 
-// --sim-mode detailed|sampled|interval|auto (strict parse; throws on junk).
+// --sim-mode detailed|sampled|auto (strict parse; throws on junk).
 void flag_sim_mode(std::vector<std::string>& args,
                    pipeline::EvaluationConfig& cfg) {
   if (const std::string m = flag_str(args, "--sim-mode", ""); !m.empty()) {
@@ -444,11 +442,8 @@ void write_port_file(const std::string& path, std::uint16_t port) {
 // NDJSON evaluation service: one request per line, one response per line
 // (`eval`, `timeline`, `fleet`, `stats`, `metrics`, `metrics_reset`,
 // `health`, `trace_dump`, `shutdown`). Default transport is stdin/stdout;
-// `--listen ADDR:PORT`
-// serves many concurrent TCP clients from one epoll loop, and `--shards N`
-// additionally forks N workers that each own a disjoint slice of the cache
-// keyspace (consistent hash on the canonical request key) behind a proxying
-// front. External drivers (sweeps, DRM loops, RPC shims, loadgens) stream
+// `--listen ADDR:PORT` serves many concurrent TCP clients from one epoll
+// loop. External drivers (sweeps, DRM loops, RPC shims, loadgens) stream
 // queries against warm processes instead of paying pipeline startup per FIT
 // estimate.
 int cmd_serve(std::vector<std::string> args) {
@@ -468,7 +463,6 @@ int cmd_serve(std::vector<std::string> args) {
   const std::string out_dir = flag_str(args, "--out-dir", output_dir());
   const bool no_persist = flag_present(args, "--no-persist");
   const std::string listen = flag_str(args, "--listen", "");
-  const auto shards = static_cast<std::size_t>(flag_u64(args, "--shards", 1));
   const std::string port_file = flag_str(args, "--port-file", "");
   const auto max_conns =
       static_cast<std::size_t>(flag_u64(args, "--max-conns", 256));
@@ -487,9 +481,6 @@ int cmd_serve(std::vector<std::string> args) {
     std::fprintf(stderr, "serve: unknown argument '%s'\n", args.front().c_str());
     return 2;
   }
-  RAMP_REQUIRE(shards >= 1, "--shards must be at least 1");
-  RAMP_REQUIRE(shards == 1 || !listen.empty(),
-               "--shards needs --listen (sharding is a TCP-mode feature)");
   RAMP_REQUIRE(slow_ms >= 0.0, "--slow-ms must be non-negative");
   RAMP_REQUIRE(!slow_log_flag || !listen.empty(),
                "--slow-log needs --listen (the slow-request log is a "
@@ -503,15 +494,6 @@ int cmd_serve(std::vector<std::string> args) {
             ? (std::filesystem::path(out_dir) / "serve_slow.ndjson").string()
             : *slow_log_flag;
   }
-  // Shard workers write disjoint slow logs (foo-shard2.ndjson): N processes
-  // appending to one file would interleave lines.
-  const auto shard_slow_log = [&](std::size_t shard) {
-    if (slow_log_path.empty()) return std::string();
-    const std::filesystem::path p(slow_log_path);
-    return (p.parent_path() / (p.stem().string() + "-shard" +
-                               std::to_string(shard) + p.extension().string()))
-        .string();
-  };
 
   // A client dying mid-stream must be a clean shutdown, not a SIGPIPE
   // kill; SIGINT/SIGTERM request a graceful drain (answer everything
@@ -538,8 +520,8 @@ int cmd_serve(std::vector<std::string> args) {
     sopts.drain_flag = drain;
     sopts.request_trace = request_trace;
     rc = serve::serve_stdio(service, sopts);
-  } else if (shards == 1) {
-    // Single-process TCP mode.
+  } else {
+    // TCP mode.
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;
     parse_listen(listen, &host, &port);
@@ -561,44 +543,6 @@ int cmd_serve(std::vector<std::string> args) {
                  host.c_str(), server.port(), opts.jobs, opts.cache_capacity,
                  persist.c_str());
     rc = server.run();
-  } else {
-    // Sharded TCP mode: the parent proxies, the forked workers serve.
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
-    parse_listen(listen, &host, &port);
-    net::ShardFrontOptions fopts;
-    fopts.host = host;
-    fopts.port = port;
-    fopts.shards = shards;
-    fopts.max_connections = max_conns;
-    fopts.base_config = cfg;
-    fopts.drain_flag = drain;
-    fopts.on_listening = [&](std::uint16_t bound) {
-      write_port_file(port_file, bound);
-      std::fprintf(stderr,
-                   "ramp serve: front on %s:%u, %zu shard worker(s)\n",
-                   host.c_str(), bound, shards);
-    };
-    rc = net::run_sharded_front(
-        fopts, [&](std::size_t shard, net::OwnedFd listener) {
-          // Disjoint store directories: each shard owns its keyspace slice.
-          pipeline::EvaluationConfig ccfg = cfg;
-          if (!ccfg.stage_cache_dir.empty()) {
-            ccfg.stage_cache_dir += "/shard-" + std::to_string(shard);
-          }
-          serve::EvalService service(ccfg, opts);
-          net::ServerOptions sopts;
-          sopts.listen_fd = listener.release();
-          sopts.max_connections = max_conns;
-          sopts.max_queued_requests = max_queued;
-          sopts.drain_flag = serve::install_drain_handlers();
-          sopts.request_trace = request_trace;
-          sopts.slow_log_path = shard_slow_log(shard);
-          sopts.slow_ms = slow_ms;
-          sopts.shards = shards;
-          net::Server server(service, sopts);
-          return server.run();
-        });
   }
 
   if (!trace_out.empty() && obs::Profiler::global().enabled()) {
@@ -705,15 +649,13 @@ int cmd_fleet(std::vector<std::string> args) {
   return 0;
 }
 
-// Differential validation of the fast sim paths: every workload runs the
-// detailed OooCore and the requested estimator(s) over the same synthetic
-// stream, then the run-level IPC must agree within the estimator's IPC
-// tolerance (relative; --tol-ipc for sampled, --tol-ipc-interval for the
-// coarser interval model) and every structure's average activity within
-// --tol-act (absolute). Prints a per-(app, estimator) table and exits
-// nonzero on any violation — this is the tolerance contract the cached
-// fast-path payloads are sold under, wired into ctest so a regression in
-// either estimator fails the suite.
+// Differential validation of the sampled sim path: every workload runs the
+// detailed OooCore and SampledCore over the same synthetic stream, then the
+// run-level IPC must agree within --tol-ipc (relative) and every
+// structure's average activity within --tol-act (absolute). Prints a
+// per-app table and exits nonzero on any violation — this is the tolerance
+// contract the cached sampled payloads are sold under, wired into ctest so
+// an estimator regression fails the suite.
 int cmd_simcheck(std::vector<std::string> args) {
   // 2M instructions: the sampled estimator's tolerance contract holds from
   // ~1M up (enough sampling units for the regression); shorter streams are
@@ -721,22 +663,15 @@ int cmd_simcheck(std::vector<std::string> args) {
   pipeline::EvaluationConfig cfg =
       pipeline::EvaluationConfig::from_env(/*trace_len=*/2'000'000);
   cfg.trace_instructions = flag_u64(args, "--trace-len", cfg.trace_instructions);
-  const std::string mode = flag_str(args, "--mode", "both");
   const auto node = parse_node(flag_str(args, "--node", "180"));
   const double tol_ipc = flag_double(args, "--tol-ipc", 0.02);
-  const double tol_ipc_interval = flag_double(args, "--tol-ipc-interval", 0.05);
   const double tol_act = flag_double(args, "--tol-act", 0.02);
   if (!args.empty()) {
     std::fprintf(stderr, "simcheck: unknown argument '%s'\n",
                  args.front().c_str());
     return 2;
   }
-  const bool do_sampled = mode == "both" || mode == "sampled";
-  const bool do_interval = mode == "both" || mode == "interval";
-  RAMP_REQUIRE(do_sampled || do_interval,
-               "--mode expects sampled|interval|both, got '" + mode + "'");
-  RAMP_REQUIRE(tol_ipc > 0.0 && tol_ipc_interval > 0.0 && tol_act > 0.0,
-               "tolerances must be positive");
+  RAMP_REQUIRE(tol_ipc > 0.0 && tol_act > 0.0, "tolerances must be positive");
 
   const scaling::TechnologyNode& tech = scaling::node(node);
   const sim::CoreConfig core_cfg = sim::core_config_for(tech);
@@ -746,56 +681,44 @@ int cmd_simcheck(std::vector<std::string> args) {
   TextTable table("simcheck @ " + std::string(scaling::tech_name(node)) +
                   ", " + std::to_string(cfg.trace_instructions) +
                   " instructions");
-  table.set_header({"app", "estimator", "IPC det", "IPC est", "dIPC %",
-                    "max dAct", "status"});
+  table.set_header({"app", "IPC det", "IPC est", "dIPC %", "max dAct",
+                    "status"});
   int violations = 0;
   for (const auto& w : workloads::spec2k_suite()) {
     const std::uint64_t seed = pipeline::app_trace_seed(cfg.seed, w.name);
-    const auto fresh_trace = [&] {
-      return trace::SyntheticTrace(w.profile, cfg.trace_instructions, seed);
-    };
-    trace::SyntheticTrace det_trace = fresh_trace();
+    trace::SyntheticTrace det_trace(w.profile, cfg.trace_instructions, seed);
     sim::OooCore det_core(core_cfg);
     const sim::SimResult det = det_core.run(det_trace, interval_cycles);
 
-    const auto check = [&](const char* name, double ipc_tol,
-                           const sim::SimResult& est) {
-      const double det_ipc = det.totals.ipc();
-      const double rel_ipc =
-          det_ipc > 0.0 ? std::abs(est.totals.ipc() - det_ipc) / det_ipc : 0.0;
-      double max_act = 0.0;
-      for (std::size_t s = 0; s < sim::kNumStructures; ++s) {
-        max_act = std::max(max_act, std::abs(est.totals.avg_activity[s] -
-                                             det.totals.avg_activity[s]));
-      }
-      const bool ok = rel_ipc <= ipc_tol && max_act <= tol_act;
-      if (!ok) ++violations;
-      table.add_row({w.name, name, fmt(det_ipc, 4), fmt(est.totals.ipc(), 4),
-                     fmt(rel_ipc * 100.0, 2), fmt(max_act, 4),
-                     ok ? "ok" : "FAIL"});
-    };
-    if (do_sampled) {
-      trace::SyntheticTrace t = fresh_trace();
-      sim::SampledCore core(core_cfg, cfg.sampled);
-      check("sampled", tol_ipc, core.run(t, interval_cycles));
+    trace::SyntheticTrace est_trace(w.profile, cfg.trace_instructions, seed);
+    sim::SampledCore est_core(core_cfg, cfg.sampled);
+    const sim::SimResult est = est_core.run(est_trace, interval_cycles);
+
+    const double det_ipc = det.totals.ipc();
+    const double rel_ipc =
+        det_ipc > 0.0 ? std::abs(est.totals.ipc() - det_ipc) / det_ipc : 0.0;
+    double max_act = 0.0;
+    for (std::size_t s = 0; s < sim::kNumStructures; ++s) {
+      max_act = std::max(max_act, std::abs(est.totals.avg_activity[s] -
+                                           det.totals.avg_activity[s]));
     }
-    if (do_interval) {
-      trace::SyntheticTrace t = fresh_trace();
-      sim::IntervalModel model(core_cfg);
-      check("interval", tol_ipc_interval, model.run(t, interval_cycles));
-    }
+    const bool ok = rel_ipc <= tol_ipc && max_act <= tol_act;
+    if (!ok) ++violations;
+    table.add_row({w.name, fmt(det_ipc, 4), fmt(est.totals.ipc(), 4),
+                   fmt(rel_ipc * 100.0, 2), fmt(max_act, 4),
+                   ok ? "ok" : "FAIL"});
   }
   std::printf("%s\n", table.str().c_str());
   if (violations > 0) {
     std::fprintf(stderr,
                  "simcheck: %d estimate(s) outside tolerance "
-                 "(tol-ipc %.3f/%.3f, tol-act %.3f)\n",
-                 violations, tol_ipc, tol_ipc_interval, tol_act);
+                 "(tol-ipc %.3f, tol-act %.3f)\n",
+                 violations, tol_ipc, tol_act);
     return 1;
   }
   std::printf("simcheck: all estimates within tolerance "
-              "(tol-ipc %.3f/%.3f, tol-act %.3f)\n",
-              tol_ipc, tol_ipc_interval, tol_act);
+              "(tol-ipc %.3f, tol-act %.3f)\n",
+              tol_ipc, tol_act);
   return 0;
 }
 
@@ -826,13 +749,12 @@ int usage() {
                "  missions [--trace-len N] [--jobs N] deployed-lifetime presets\n"
                "  serve [--jobs N] [--cache-capacity N] [--max-queue N]\n"
                "        [--out-dir DIR] [--no-persist] [--trace-out FILE]\n"
-               "        [--listen ADDR:PORT] [--shards N] [--port-file FILE]\n"
+               "        [--listen ADDR:PORT] [--port-file FILE]\n"
                "        [--max-conns N] [--max-queued N] [--request-trace]\n"
                "        [--slow-log[=FILE]] [--slow-ms MS]\n"
                "                                NDJSON eval service; stdin/stdout by\n"
                "                                default, TCP with --listen (port 0 =\n"
-               "                                ephemeral, reported via --port-file),\n"
-               "                                forked keyspace shards with --shards;\n"
+               "                                ephemeral, reported via --port-file);\n"
                "                                --request-trace traces every request\n"
                "                                (else only \"trace\":true requests),\n"
                "                                --slow-log appends traced requests\n"
@@ -846,15 +768,13 @@ int usage() {
                "                                failure-rate curves on stdout and\n"
                "                                fleet_curve.csv / fleet.ndjson in\n"
                "                                --out-dir (RAMP_FLEET_* env too)\n"
-               "  simcheck [--trace-len N] [--mode sampled|interval|both]\n"
-               "        [--node NAME] [--tol-ipc F] [--tol-ipc-interval F]\n"
+               "  simcheck [--trace-len N] [--node NAME] [--tol-ipc F]\n"
                "        [--tol-act F]\n"
                "                                differential validation of the\n"
-               "                                fast sim paths vs detailed on\n"
+               "                                sampled sim path vs detailed on\n"
                "                                every workload; nonzero exit if\n"
                "                                any estimate misses tolerance\n"
-               "                                (rel IPC 0.02 sampled / 0.05\n"
-               "                                interval, 0.02 abs activity)\n"
+               "                                (rel IPC 0.02, 0.02 abs activity)\n"
                "  trace <app> <file> [N]        capture a synthetic trace\n"
                "Sweep-based commands and serve also honor --out-dir (default\n"
                "$RAMP_OUT_DIR or out/) for caches and generated artifacts.\n"
@@ -877,8 +797,8 @@ int usage() {
                "--no-persist keeps it in memory; --cache-capacity N (default\n"
                "512) sizes its memory tier to 512 + 5*N entries.\n"
                "Sim mode: evaluate/sweep/report/missions/serve/fleet take\n"
-               "--sim-mode detailed|sampled|interval|auto to pick the timing\n"
-               "estimator (default detailed; sampled/interval trade <=2%% IPC\n"
+               "--sim-mode detailed|sampled|auto to pick the timing\n"
+               "estimator (default detailed; sampled trades <=2%% IPC\n"
                "accuracy for speed, see ramp simcheck). Env equivalents:\n"
                "RAMP_SIM_MODE, RAMP_SIM_PERIOD/WARMUP/MEASURE.\n");
   return 2;
