@@ -15,6 +15,7 @@
 #include "obs/span.hpp"
 #include "pipeline/evaluator.hpp"
 #include "pipeline/stage_graph.hpp"
+#include "pipeline/sweep.hpp"
 #include "util/constants.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -107,6 +108,11 @@ FleetSimulator::FleetSimulator(FleetScenario scenario, Options opts)
     opts_.stage_store = std::make_shared<pipeline::StageStore>(
         pipeline::StageStore::Options{.dir = scenario_.cell.stage_cache_dir});
   }
+  pool_ = opts_.pool;
+  if (pool_ == nullptr && opts_.jobs > 1) {
+    own_pool_ = std::make_unique<ThreadPool>(opts_.jobs);
+    pool_ = own_pool_.get();
+  }
 }
 
 void FleetSimulator::prepare() const {
@@ -129,25 +135,21 @@ void FleetSimulator::prepare() const {
   // Physics cells. Every chip shares these: the 180 nm runs qualify the
   // constants (suite-average 1000 FIT per mechanism over the scenario's
   // pool, the paper's rule applied to the fleet's actual workload mix), and
-  // the scaled-node runs pin each app's 180 nm heat-sink temperature. With
-  // a warm stage store this whole loop is cache hits.
-  pipeline::Evaluator ev(scenario_.cell, opts_.stage_store);
-  std::vector<pipeline::AppTechResult> cells180;
-  std::vector<pipeline::AppTechResult> cells;
-  std::vector<core::FitSummary> raw180;
-  cells180.reserve(apps_.size());
-  for (const auto* w : apps_) {
-    cells180.push_back(ev.evaluate(*w, scaling::TechPoint::k180nm));
-    raw180.push_back(cells180.back().raw_fits);
+  // the scaled-node runs pin each app's 180 nm heat-sink temperature. They
+  // run on the sweep's cell schedule (on the pool when there is one); with a
+  // warm stage store they are all cache hits.
+  const pipeline::Evaluator ev(scenario_.cell, opts_.stage_store);
+  std::vector<scaling::TechPoint> nodes = {scaling::TechPoint::k180nm};
+  if (scenario_.tech != scaling::TechPoint::k180nm) {
+    nodes.push_back(scenario_.tech);
   }
-  if (scenario_.tech == scaling::TechPoint::k180nm) {
-    cells = std::move(cells180);
-  } else {
-    cells.reserve(apps_.size());
-    for (std::size_t a = 0; a < apps_.size(); ++a) {
-      cells.push_back(
-          ev.evaluate(*apps_[a], scenario_.tech, cells180[a].sink_temp_k));
-    }
+  const std::size_t nnodes = nodes.size();
+  const std::vector<pipeline::AppTechResult> results =
+      pipeline::evaluate_cells(ev, apps_, nodes, pool_);
+  std::vector<core::FitSummary> raw180;
+  raw180.reserve(apps_.size());
+  for (std::size_t a = 0; a < apps_.size(); ++a) {
+    raw180.push_back(results[a * nnodes].raw_fits);
   }
   const core::MechanismConstants constants = core::qualify(raw180);
 
@@ -164,7 +166,7 @@ void FleetSimulator::prepare() const {
   double rth_sum = 0.0;
   double leak_sum = 0.0;
   for (std::size_t a = 0; a < apps_.size(); ++a) {
-    const auto& cell = cells[a];
+    const auto& cell = results[a * nnodes + nnodes - 1];
     const double activity = std::clamp(cell.max_activity, 0.05, 1.0);
     const core::RampModel model0(node);
     const auto ss0 =
@@ -586,17 +588,11 @@ FleetResult FleetSimulator::run() const {
 
   // Chips are sharded into fixed blocks; block results are merged in block
   // order below, so the curve is byte-identical at any job count.
-  ThreadPool* pool = opts_.pool;
-  std::unique_ptr<ThreadPool> own_pool;
-  if (pool == nullptr && opts_.jobs > 1) {
-    own_pool = std::make_unique<ThreadPool>(opts_.jobs);
-    pool = own_pool.get();
-  }
-  if (pool != nullptr) {
+  if (pool_ != nullptr) {
     std::vector<std::future<void>> futures;
     futures.reserve(nblocks);
     for (std::uint64_t b = 0; b < nblocks; ++b) {
-      futures.push_back(pool->submit([&run_block, b] { run_block(b); }));
+      futures.push_back(pool_->submit([&run_block, b] { run_block(b); }));
     }
     for (auto& f : futures) f.get();
   } else {

@@ -16,6 +16,9 @@
 // 16 apps × 1 rung for the baseline scenario, evaluated once through the
 // content-addressed stage store and shared by EVERY chip — a 10k- or
 // 1M-chip fleet costs the same ~16 sim-stage misses (asserted in tests).
+// A scaled-node scenario adds each app's 180 nm base run. prepare() runs
+// them on the sweep's cell schedule (pipeline::evaluate_cells) on the
+// simulator's pool.
 // Throttled rungs are derived analytically from the rung-0 cell with
 // core::RampModel physics (mechanism-wise FIT ratios at the throttled
 // voltage/temperature), so DVFS scenarios add no sim runs either.
@@ -116,7 +119,9 @@ struct FleetResult {
 class FleetSimulator {
  public:
   struct Options {
-    std::size_t jobs = 1;        ///< pool size when not passing `pool`
+    /// Size of the one pool the simulator owns when not passing `pool`;
+    /// prepare() and every run() share it. 1 runs everything inline.
+    std::size_t jobs = 1;
     ThreadPool* pool = nullptr;  ///< externally owned pool (overrides jobs)
     /// Shared per-stage memoization store for the physics cells; null = a
     /// private store persisting under scenario.cell.stage_cache_dir
@@ -154,6 +159,10 @@ class FleetSimulator {
 
   FleetScenario scenario_;
   Options opts_;
+  /// The pool prepare() and every run() share: opts_.pool, else one owned
+  /// pool when jobs > 1, else null (inline).
+  std::unique_ptr<ThreadPool> own_pool_;
+  ThreadPool* pool_ = nullptr;
   mutable std::vector<std::vector<CellPoint>> cells_;
   mutable std::vector<const workloads::Workload*> apps_;
   mutable std::size_t attack_app_ = 0;   ///< index into apps_

@@ -807,6 +807,7 @@ StageStore::StageStore(Options opts)
     auto& m = meters_[static_cast<std::size_t>(i)];
     m.hits = registry_->counter(base + "_hits_total");
     m.misses = registry_->counter(base + "_misses_total");
+    m.coalesced = registry_->counter(base + "_coalesced_total");
     m.writes = registry_->counter(base + "_writes_total");
     m.seconds = registry_->histogram(base + "_seconds", bounds);
   }
@@ -819,8 +820,11 @@ void StageStore::book(StageId stage, const BlobStore::Result& res) {
   switch (res.outcome) {
     case BlobStore::Outcome::kMemoryHit:
     case BlobStore::Outcome::kDiskHit:
+      m.hits.inc();
+      break;
     case BlobStore::Outcome::kCoalesced:
       m.hits.inc();
+      m.coalesced.inc();
       break;
     case BlobStore::Outcome::kComputed:
       m.misses.inc();

@@ -215,6 +215,8 @@ bool decode_payload(const std::string& payload, AppTechResult& out);
 ///   ramp_stage_<stage>_hits_total     answered without computing (memory,
 ///                                     disk, or coalesced onto a peer)
 ///   ramp_stage_<stage>_misses_total   compute callback ran
+///   ramp_stage_<stage>_coalesced_total  the subset of hits that waited on
+///                                     a peer's in-flight compute
 ///   ramp_stage_<stage>_writes_total   payload persisted to disk
 ///   ramp_stage_<stage>_seconds        compute duration on a miss
 ///   ramp_stage_store_entries/_bytes   memory-tier occupancy gauges
@@ -313,6 +315,7 @@ class StageStore {
   struct StageMeters {
     obs::Counter hits;
     obs::Counter misses;
+    obs::Counter coalesced;
     obs::Counter writes;
     obs::Histogram seconds;
   };

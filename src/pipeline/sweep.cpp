@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <sstream>
@@ -218,100 +219,96 @@ SweepResult SweepRunner::run() const {
   return sweep;
 }
 
-SweepResult SweepRunner::execute(ThreadPool& pool) const {
+std::vector<AppTechResult> evaluate_cells(
+    const Evaluator& evaluator,
+    const std::vector<const workloads::Workload*>& apps,
+    const std::vector<scaling::TechPoint>& nodes, ThreadPool* pool,
+    const CellHooks& hooks) {
   using Clock = std::chrono::steady_clock;
-  const auto& suite = workloads::spec2k_suite();
-  const auto nodes = canonical_node_order();
-  const std::size_t napps = suite.size();
+  RAMP_REQUIRE(!nodes.empty() && nodes.front() == scaling::TechPoint::k180nm,
+               "cell schedules start at the 180 nm base node");
   const std::size_t nnodes = nodes.size();
-  const Evaluator evaluator(cfg_, opts_.stage_store);
-  const auto sweep_start = Clock::now();
-
-  // Scheduling metrics. All handles are null no-ops when RAMP_METRICS=off,
-  // and nothing below feeds back into results.
-  auto& reg = obs::MetricsRegistry::global();
-  obs::Profiler& prof = obs::Profiler::global();
-  const bool profile = prof.enabled();
-  const obs::Counter cells_counter = reg.counter("ramp_sweep_cells_total");
-  const obs::Histogram cell_hist = reg.histogram(
-      "ramp_sweep_cell_seconds",
-      {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0});
-  const obs::Gauge queue_gauge = reg.gauge("ramp_pool_queue_depth");
-  const obs::Gauge active_gauge = reg.gauge("ramp_pool_active");
-
-  if (opts_.observer) {
-    opts_.observer->on_sweep_begin(napps * nnodes, pool.worker_count());
-  }
 
   // Cell results land in their canonical app-major slot as they finish, so
   // the merged vector is independent of execution order.
-  std::vector<AppTechResult> cells(napps * nnodes);
-  std::mutex observer_mutex;   // serializes ProgressObserver calls
-  std::mutex fan_out_mutex;    // guards the dependent-task future list
-  std::vector<std::future<void>> scaled_futures;
-  scaled_futures.reserve(napps * (nnodes - 1));
+  std::vector<AppTechResult> cells(apps.size() * nnodes);
 
-  // Runs one (app, node) cell and reports it. `sink_target_k` is 0 for the
-  // 180 nm base run and the app's pinned sink temperature otherwise.
+  // Runs one (app, node) cell. `sink_target_k` is 0 for the 180 nm base run
+  // and the app's pinned sink temperature otherwise.
   const auto run_cell = [&](std::size_t app_i, std::size_t node_i,
                             double sink_target_k) {
     SweepCell cell;
-    cell.app = suite[app_i].name;
+    cell.app = apps[app_i]->name;
     cell.tech = nodes[node_i];
     cell.task_id = static_cast<std::uint64_t>(app_i * nnodes + node_i);
     cell.worker_id = ThreadPool::current_worker_id();
-    queue_gauge.set(static_cast<double>(pool.queued()));
-    active_gauge.set(static_cast<double>(pool.active()));
-    if (opts_.observer) {
-      const std::lock_guard<std::mutex> lock(observer_mutex);
-      opts_.observer->on_cell_start(cell);
-    }
+    if (hooks.on_cell_start) hooks.on_cell_start(cell);
     const auto start = Clock::now();
     AppTechResult& slot = cells[cell.task_id];
-    slot = evaluator.evaluate(suite[app_i], cell.tech, sink_target_k);
-    const std::chrono::duration<double> wall = Clock::now() - start;
-    cells_counter.inc();
-    cell_hist.observe(wall.count());
-    if (opts_.observer) {
-      const std::lock_guard<std::mutex> lock(observer_mutex);
-      opts_.observer->on_cell_finish(cell, slot, wall.count());
+    slot = evaluator.evaluate(*apps[app_i], cell.tech, sink_target_k);
+    if (hooks.on_cell_finish) {
+      const std::chrono::duration<double> wall = Clock::now() - start;
+      hooks.on_cell_finish(cell, slot, wall.count());
     }
   };
 
-  // Phase 1: one base task per app. Each base task, once its 180 nm run has
-  // pinned the sink temperature, fans out that app's scaled nodes as
-  // dependent tasks on the same pool.
-  // Queue wait (submit → dequeue) is recorded as kSchedule, which the
-  // profile keeps out of kTotal: it is pool pressure, not pipeline work.
-  const auto record_wait = [&prof, profile](Clock::time_point submitted) {
-    if (!profile) return;
-    const auto now = Clock::now();
-    prof.record(obs::Stage::kSchedule,
-                std::chrono::duration<double>(now - submitted).count());
-    // In trace mode the wait shows up as a "queue-wait" slice on the worker
-    // that eventually dequeued the task — the causal gap Perfetto renders
-    // between submission and execution.
-    prof.record_event(obs::Stage::kSchedule, "queue-wait", submitted, now);
+  // The app's scaled nodes grouped by sim-stage key, in node order. A group
+  // runs as one task: its first cell computes the shared sim, the rest hit
+  // the store instead of parking a worker on the in-flight compute.
+  const auto sim_groups = [&](std::size_t app_i) {
+    std::vector<std::string> keys;
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t node_i = 1; node_i < nnodes; ++node_i) {
+      std::string key =
+          cell_keys(evaluator.config(), *apps[app_i], nodes[node_i])
+              .sim.canonical;
+      const auto it = std::find(keys.begin(), keys.end(), key);
+      if (it == keys.end()) {
+        keys.push_back(std::move(key));
+        groups.push_back({node_i});
+      } else {
+        groups[static_cast<std::size_t>(it - keys.begin())].push_back(node_i);
+      }
+    }
+    return groups;
   };
 
+  // Submits `task` to the pool and files its future, or runs it inline.
+  std::mutex futures_mutex;  // guards both future lists
   std::vector<std::future<void>> base_futures;
-  base_futures.reserve(napps);
-  for (std::size_t app_i = 0; app_i < napps; ++app_i) {
-    const auto submitted = profile ? Clock::now() : Clock::time_point{};
-    base_futures.push_back(pool.submit([&, app_i, submitted] {
-      record_wait(submitted);
+  std::vector<std::future<void>> scaled_futures;
+  const auto spawn = [&](std::vector<std::future<void>>& futures,
+                         std::function<void()> task) {
+    if (pool == nullptr) {
+      task();
+      return;
+    }
+    const auto submitted =
+        hooks.on_dequeue ? Clock::now() : Clock::time_point{};
+    auto future = pool->submit([&hooks, submitted, task = std::move(task)] {
+      if (hooks.on_dequeue) hooks.on_dequeue(submitted);
+      task();
+    });
+    const std::lock_guard<std::mutex> lock(futures_mutex);
+    futures.push_back(std::move(future));
+  };
+
+  // One base task per app. Once its 180 nm run has pinned the sink
+  // temperature, it fans out the app's scaled-node groups as dependent tasks
+  // on the same pool.
+  for (std::size_t app_i = 0; app_i < apps.size(); ++app_i) {
+    spawn(base_futures, [&, app_i] {
       run_cell(app_i, 0, 0.0);
       const double sink_target = cells[app_i * nnodes].sink_temp_k;
-      const std::lock_guard<std::mutex> lock(fan_out_mutex);
-      for (std::size_t node_i = 1; node_i < nnodes; ++node_i) {
-        const auto scaled_submitted = profile ? Clock::now() : Clock::time_point{};
-        scaled_futures.push_back(
-            pool.submit([&, app_i, node_i, sink_target, scaled_submitted] {
-              record_wait(scaled_submitted);
-              run_cell(app_i, node_i, sink_target);
-            }));
+      for (auto& group : sim_groups(app_i)) {
+        spawn(scaled_futures,
+              [&, app_i, sink_target, group = std::move(group)] {
+                for (const std::size_t node_i : group) {
+                  run_cell(app_i, node_i, sink_target);
+                }
+              });
       }
-    }));
+    });
   }
 
   // Wait for everything before touching the results (or unwinding — tasks
@@ -330,16 +327,77 @@ SweepResult SweepRunner::execute(ThreadPool& pool) const {
   // All base tasks have returned, so the dependent-task list is complete.
   drain(scaled_futures);
   if (failure) std::rethrow_exception(failure);
+  return cells;
+}
+
+SweepResult SweepRunner::execute(ThreadPool& pool) const {
+  using Clock = std::chrono::steady_clock;
+  const auto& suite = workloads::spec2k_suite();
+  std::vector<const workloads::Workload*> apps;
+  apps.reserve(suite.size());
+  for (const auto& w : suite) apps.push_back(&w);
+  const auto nodes = canonical_node_order();
+  const std::size_t nnodes = nodes.size();
+  const Evaluator evaluator(cfg_, opts_.stage_store);
+  const auto sweep_start = Clock::now();
+
+  // Scheduling metrics. All handles are null no-ops when RAMP_METRICS=off,
+  // and nothing below feeds back into results.
+  auto& reg = obs::MetricsRegistry::global();
+  obs::Profiler& prof = obs::Profiler::global();
+  const obs::Counter cells_counter = reg.counter("ramp_sweep_cells_total");
+  const obs::Histogram cell_hist = reg.histogram(
+      "ramp_sweep_cell_seconds",
+      {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0});
+  const obs::Gauge queue_gauge = reg.gauge("ramp_pool_queue_depth");
+  const obs::Gauge active_gauge = reg.gauge("ramp_pool_active");
+
+  if (opts_.observer) {
+    opts_.observer->on_sweep_begin(apps.size() * nnodes, pool.worker_count());
+  }
+
+  std::mutex observer_mutex;  // serializes ProgressObserver calls
+  CellHooks hooks;
+  if (prof.enabled()) {
+    // Queue wait (submit → dequeue) is recorded as kSchedule, which the
+    // profile keeps out of kTotal: it is pool pressure, not pipeline work.
+    hooks.on_dequeue = [&prof](Clock::time_point submitted) {
+      const auto now = Clock::now();
+      prof.record(obs::Stage::kSchedule,
+                  std::chrono::duration<double>(now - submitted).count());
+      // In trace mode the wait shows up as a "queue-wait" slice on the
+      // worker that eventually dequeued the task — the causal gap Perfetto
+      // renders between submission and execution.
+      prof.record_event(obs::Stage::kSchedule, "queue-wait", submitted, now);
+    };
+  }
+  hooks.on_cell_start = [&](const SweepCell& cell) {
+    queue_gauge.set(static_cast<double>(pool.queued()));
+    active_gauge.set(static_cast<double>(pool.active()));
+    if (opts_.observer) {
+      const std::lock_guard<std::mutex> lock(observer_mutex);
+      opts_.observer->on_cell_start(cell);
+    }
+  };
+  hooks.on_cell_finish = [&](const SweepCell& cell, const AppTechResult& result,
+                             double wall_seconds) {
+    cells_counter.inc();
+    cell_hist.observe(wall_seconds);
+    if (opts_.observer) {
+      const std::lock_guard<std::mutex> lock(observer_mutex);
+      opts_.observer->on_cell_finish(cell, result, wall_seconds);
+    }
+  };
 
   SweepResult sweep;
   sweep.config = cfg_;
-  sweep.results = std::move(cells);
+  sweep.results = evaluate_cells(evaluator, apps, nodes, &pool, hooks);
 
   // Qualification uses the 180 nm cells in suite order — the same summation
   // order as the serial sweep, keeping the constants bit-identical.
   std::vector<core::FitSummary> raw_180;
-  raw_180.reserve(napps);
-  for (std::size_t app_i = 0; app_i < napps; ++app_i) {
+  raw_180.reserve(apps.size());
+  for (std::size_t app_i = 0; app_i < apps.size(); ++app_i) {
     raw_180.push_back(sweep.results[app_i * nnodes].raw_fits);
   }
   sweep.constants = core::qualify(raw_180);
@@ -350,6 +408,5 @@ SweepResult SweepRunner::execute(ThreadPool& pool) const {
   }
   return sweep;
 }
-
 
 }  // namespace ramp::pipeline

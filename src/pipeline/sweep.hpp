@@ -12,7 +12,9 @@
 // CSV (sweep_to_csv) — an output and the golden format, never read back.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -65,16 +67,50 @@ struct SweepResult {
   double average_total_fit_all(scaling::TechPoint tech) const;
 };
 
+/// Optional per-task and per-cell callbacks of evaluate_cells; empty ones
+/// are skipped. They run on the thread that runs the task (a pool worker,
+/// or the caller when inline), possibly concurrently: callers serialize.
+struct CellHooks {
+  /// A pool task starts after waiting in the queue since `submitted`.
+  std::function<void(std::chrono::steady_clock::time_point submitted)>
+      on_dequeue;
+  std::function<void(const SweepCell& cell)> on_cell_start;
+  std::function<void(const SweepCell& cell, const AppTechResult& result,
+                     double wall_seconds)>
+      on_cell_finish;
+};
+
+/// The per-app cell schedule shared by SweepRunner and FleetSimulator:
+/// evaluates every (app, node) cell of `apps` × `nodes`. `nodes[0]` must be
+/// 180 nm; its cell runs first and pins the app's heat-sink temperature,
+/// then the app's scaled cells fan out as dependent tasks. Scaled nodes
+/// whose sim-stage keys are equal (e.g. the two 65 nm voltages, which share
+/// a frequency) run in one task, one after the other, so the later ones
+/// are store hits and no worker waits on a peer's in-flight sim.
+///
+/// Results come back app-major, node-minor (slot app_i × nodes.size() +
+/// node_i, which is also each cell's SweepCell::task_id) whatever the
+/// execution order. With a null `pool` everything runs inline on the
+/// caller. Every task drains before the first exception is rethrown.
+std::vector<AppTechResult> evaluate_cells(
+    const Evaluator& evaluator,
+    const std::vector<const workloads::Workload*>& apps,
+    const std::vector<scaling::TechPoint>& nodes, ThreadPool* pool,
+    const CellHooks& hooks = {});
+
 /// Executes the full study — every workload × every technology node plus
 /// 180 nm qualification — on a dependency-aware parallel engine.
 ///
-/// Per application, the 180 nm cell runs first (it pins that app's heat-sink
-/// temperature); the four scaled-node cells then fan out as dependent tasks.
-/// Independent applications proceed concurrently, so with `jobs` workers up
-/// to `jobs` cells are in flight. Results are merged in canonical app-major,
-/// tech-minor order and qualification runs once every 180 nm cell is done,
-/// which makes the result — including `sweep_to_csv` serialization —
-/// **bitwise identical** to a serial sweep at any job count.
+/// Cells run through evaluate_cells: per application, the 180 nm cell runs
+/// first (it pins that app's heat-sink temperature); the scaled-node cells
+/// then fan out as dependent tasks, and nodes that share a sim-stage key
+/// (65 nm at 0.9 V and 1.0 V) are chained in one task so the second is a
+/// store hit. Independent applications proceed concurrently, so with `jobs`
+/// workers up to `jobs` cells are in flight. Results are merged in
+/// canonical app-major, tech-minor order and qualification runs once every
+/// 180 nm cell is done, which makes the result — including `sweep_to_csv`
+/// serialization — **bitwise identical** to a serial sweep at any job
+/// count.
 ///
 /// The CSV is written atomically: concurrent processes sharing one
 /// `cache_path` never observe a torn file.

@@ -40,8 +40,14 @@ RunResult run_cli(const std::string& args, const std::string& stdin_doc = "",
   std::string cmd = "cd '" + scratch + "' && RAMP_OUT_DIR='" + scratch +
                     "' RAMP_STAGE_CACHE=off " + env + " '" RAMP_CLI_PATH "' " +
                     args + " 2>/dev/null";
+  // ctest runs each test as its own process, in parallel, all sharing
+  // `scratch`: the stdin document is named per process and call so one
+  // test never reads another's requests.
+  static int seq = 0;
+  std::string doc;
   if (!stdin_doc.empty()) {
-    const std::string doc = scratch + "/stdin.ndjson";
+    doc = scratch + "/stdin_" + std::to_string(::getpid()) + "_" +
+          std::to_string(seq++) + ".ndjson";
     std::FILE* f = std::fopen(doc.c_str(), "w");
     EXPECT_NE(f, nullptr);
     std::fwrite(stdin_doc.data(), 1, stdin_doc.size(), f);
@@ -60,6 +66,7 @@ RunResult run_cli(const std::string& args, const std::string& stdin_doc = "",
   }
   const int status = ::pclose(pipe);
   r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  if (!doc.empty()) fs::remove(doc);
   return r;
 }
 

@@ -86,6 +86,12 @@ TEST(StageConcurrencyTest, StageStoreBooksOneMissAndSevenHits) {
   EXPECT_EQ(reg.counter("ramp_stage_trace_misses_total").value(), 1u);
   EXPECT_EQ(reg.counter("ramp_stage_trace_hits_total").value(),
             static_cast<std::uint64_t>(kThreads - 1));
+  // Waiters on the in-flight compute book a coalesced lookup on top of the
+  // hit; a late arrival after the compute lands is a plain memory hit.
+  const std::uint64_t coalesced =
+      reg.counter("ramp_stage_trace_coalesced_total").value();
+  EXPECT_GE(coalesced, 1u);
+  EXPECT_LE(coalesced, static_cast<std::uint64_t>(kThreads - 1));
   EXPECT_EQ(reg.gauge("ramp_stage_store_entries").value(), 1.0);
 }
 
@@ -141,10 +147,9 @@ TEST(StageConcurrencyTest, ComputeExceptionReachesEveryWaiter) {
 }
 
 TEST(StageConcurrencyTest, SharedStoreParallelSweepMatchesMonolithicSerial) {
-  // The byte-identity contract under contention: a four-job sweep where
-  // every worker schedules against one shared StageStore (so same-frequency
-  // cells coalesce across threads) must serialize exactly like the serial,
-  // store-less monolithic run.
+  // The byte-identity contract under contention: a parallel sweep where
+  // every worker schedules against one shared StageStore must serialize
+  // exactly like the serial, store-less monolithic run.
   EvaluationConfig cfg;
   cfg.trace_instructions = 5'000;
 
@@ -152,22 +157,28 @@ TEST(StageConcurrencyTest, SharedStoreParallelSweepMatchesMonolithicSerial) {
   serial.cache_path.clear();
   const std::string expect = sweep_to_csv(SweepRunner(cfg, serial).run());
 
-  obs::MetricsRegistry reg(true);
-  StageStore::Options sopts;
-  sopts.registry = &reg;
-  SweepRunner::Options parallel;
-  parallel.jobs = 4;
-  parallel.cache_path.clear();
-  parallel.stage_store = std::make_shared<StageStore>(std::move(sopts));
-  EXPECT_EQ(sweep_to_csv(SweepRunner(cfg, parallel).run()), expect);
+  for (const std::size_t jobs : {2u, 4u}) {
+    obs::MetricsRegistry reg(true);
+    StageStore::Options sopts;
+    sopts.registry = &reg;
+    SweepRunner::Options parallel;
+    parallel.jobs = jobs;
+    parallel.cache_path.clear();
+    parallel.stage_store = std::make_shared<StageStore>(std::move(sopts));
+    EXPECT_EQ(sweep_to_csv(SweepRunner(cfg, parallel).run()), expect)
+        << "jobs " << jobs;
 
-  // 16 apps × 5 nodes, but only 4 distinct clock frequencies per app (the
-  // two 65 nm points share 2 GHz): exactly 64 sim computations, and the
-  // coalesced/warm 65 nm reuse shows up as sim hits.
-  EXPECT_EQ(reg.counter("ramp_stage_sim_misses_total").value(), 64u);
-  EXPECT_EQ(reg.counter("ramp_stage_sim_hits_total").value(), 16u);
-  EXPECT_EQ(reg.counter("ramp_stage_fit_misses_total").value(), 80u);
-  EXPECT_EQ(reg.counter("ramp_stage_fit_hits_total").value(), 0u);
+    // 16 apps × 5 nodes, but only 4 distinct clock frequencies per app (the
+    // two 65 nm points share 2 GHz): exactly 64 sim computations. The 65 nm
+    // twins run chained in one task, so the second is a store hit and no
+    // lookup ever waits on a peer's in-flight sim.
+    EXPECT_EQ(reg.counter("ramp_stage_sim_misses_total").value(), 64u);
+    EXPECT_EQ(reg.counter("ramp_stage_sim_hits_total").value(), 16u);
+    EXPECT_EQ(reg.counter("ramp_stage_sim_coalesced_total").value(), 0u)
+        << "jobs " << jobs;
+    EXPECT_EQ(reg.counter("ramp_stage_fit_misses_total").value(), 80u);
+    EXPECT_EQ(reg.counter("ramp_stage_fit_hits_total").value(), 0u);
+  }
 }
 
 }  // namespace
