@@ -23,8 +23,10 @@ int main(int argc, char** argv) {
       pipeline::EvaluationConfig::from_env(/*trace_len=*/100'000);
   if (argc > 1) cfg.trace_instructions = std::stoull(argv[1]);
   pipeline::StderrProgress progress;
-  const pipeline::SweepResult sweep =
-      pipeline::SweepRunner(cfg, {.jobs = 4, .observer = &progress}).run();
+  pipeline::SweepRunner::Options opts;
+  opts.jobs = 4;
+  opts.observer = &progress;
+  const pipeline::SweepResult sweep = pipeline::SweepRunner(cfg, opts).run();
 
   for (const auto& mission : pipeline::example_missions()) {
     TextTable table("Mission: " + mission.name + "  (" +

@@ -26,8 +26,10 @@ int main(int argc, char** argv) {
 
   // Full-suite sweep (cached if a bench already ran with this config).
   pipeline::StderrProgress progress;
-  const pipeline::SweepResult sweep =
-      pipeline::SweepRunner(cfg, {.jobs = 4, .observer = &progress}).run();
+  pipeline::SweepRunner::Options opts;
+  opts.jobs = 4;
+  opts.observer = &progress;
+  const pipeline::SweepResult sweep = pipeline::SweepRunner(cfg, opts).run();
 
   TextTable table(
       "Worst-case qualification overhead per node (16-app SPEC2K suite)");
