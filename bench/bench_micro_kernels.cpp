@@ -375,7 +375,7 @@ void BM_CacheAccess(benchmark::State& state) {
 BENCHMARK(BM_CacheAccess);
 
 // Fleet-engine costs. prepare() runs the 16 physics evaluations once
-// outside the timed loop, so both benches measure the pure per-chip Monte
+// outside the timed loop, so these benches measure the pure per-chip Monte
 // Carlo path (substream seeding, threshold draws, the analytic event loop)
 // that dominates a million-chip run.
 fleet::FleetScenario fleet_bench_scenario(std::uint64_t chips) {
@@ -410,6 +410,23 @@ void BM_Fleet1k(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Fleet1k);
+
+// The path the fleet benchmark times: a DVFS policy at 65 nm, 1.0 V, so
+// every phase reads the sensor, estimates FIT and steps the controller.
+void BM_FleetDvfs1k(benchmark::State& state) {
+  fleet::FleetScenario sc = fleet_bench_scenario(1000);
+  sc.tech = scaling::TechPoint::k65nm_1V0;
+  sc.policy = fleet::DrmPolicy::kDvfs;
+  const fleet::FleetSimulator sim(sc);
+  sim.prepare();
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.run().summary.failed);
+    n += sc.chips;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FleetDvfs1k);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <bit>
 #include <cstdio>
 #include <future>
 #include <limits>
@@ -40,27 +41,113 @@ enum Substream : std::uint64_t {
   kStreamInfant = 5,
 };
 
-/// Draws a unit-mean failure threshold (in expected-failure units) from the
+/// Wear-out instances of one chip, flat and in the order the event search
+/// breaks ties: structure-major (s, m) pairs, then the package TC instance.
+constexpr std::size_t kStructureInstances =
+    static_cast<std::size_t>(sim::kNumStructures * core::kNumMechanisms);
+constexpr std::size_t kTcInstance = kStructureInstances;
+constexpr std::size_t kInstances = kStructureInstances + 1;
+using InstanceRow = std::array<double, kInstances>;
+static_assert(kInstances <= 32, "instance masks are 32-bit");
+
+constexpr std::size_t mechanism_of(std::size_t i) {
+  return i == kTcInstance ? static_cast<std::size_t>(core::Mechanism::kTc)
+                          : i % static_cast<std::size_t>(core::kNumMechanisms);
+}
+
+/// Unit-mean failure thresholds (in expected-failure units) from the
 /// scenario's lifetime family. With exponential thresholds the damage model
 /// reduces exactly to SOFR / core::LifetimeMonteCarlo for constant stress;
 /// Weibull beta > 1 reproduces wear-out clustering around the MTTF.
-double unit_mean_threshold(core::LifetimeFamily family, double shape,
-                           Xoshiro256& rng) {
-  const double u = 1.0 - rng.uniform();  // (0, 1]: keeps log() finite
-  switch (family) {
-    case core::LifetimeFamily::kExponential:
-      return -std::log(u);
-    case core::LifetimeFamily::kWeibull: {
-      const double eta = 1.0 / std::tgamma(1.0 + 1.0 / shape);
-      return eta * std::pow(-std::log(u), 1.0 / shape);
-    }
-    case core::LifetimeFamily::kLognormal: {
-      const double z = rng.normal();
-      return std::exp(-0.5 * shape * shape + shape * z);
+///
+/// Everything that does not depend on the draw (the Weibull scale, 1/beta)
+/// is computed once per run. Exponential and Weibull thresholds are kept as
+/// their drawn u and transformed only when the event search needs them;
+/// until then bound() gives a lower bound from a per-mechanism table.
+/// Shapes are positive (FleetScenario::validate), so thresholds fall as u
+/// rises.
+class ThresholdModel {
+ public:
+  explicit ThresholdModel(const core::LifetimeModelConfig& cfg)
+      : family_(cfg.family) {
+    for (std::size_t m = 0; m < shape_.size(); ++m) {
+      shape_[m] = cfg.shape[m];
+      inv_shape_[m] = 1.0 / cfg.shape[m];
+      eta_[m] = 1.0 / std::tgamma(1.0 + 1.0 / cfg.shape[m]);
+      // Bucket j of u, [j/kBuckets, (j+1)/kBuckets), is bounded below by
+      // the threshold at its upper edge. The margin covers libm's few-ulp rounding, which
+      // could otherwise put a computed threshold a hair under the bound.
+      for (std::size_t j = 0; j <= kBuckets; ++j) {
+        const double edge = std::min(
+            1.0, static_cast<double>(j + 1) / static_cast<double>(kBuckets));
+        floor_[m][j] = lazy() ? threshold(edge, m) * (1.0 - 1e-12) : 0.0;
+      }
     }
   }
-  throw InvalidArgument("unknown lifetime family");
-}
+
+  /// True when draw() returns u and threshold() must be applied to it;
+  /// false when draw() already returns the threshold (lognormal).
+  bool lazy() const { return family_ != core::LifetimeFamily::kLognormal; }
+
+  /// Consumes exactly the draws of one threshold, in the same order.
+  double draw(Xoshiro256& rng, std::size_t m) const {
+    const double u = 1.0 - rng.uniform();  // (0, 1]: keeps log() finite
+    if (lazy()) return u;
+    const double z = rng.normal();
+    return std::exp(-0.5 * shape_[m] * shape_[m] + shape_[m] * z);
+  }
+
+  /// The threshold of a lazy draw u.
+  double threshold(double u, std::size_t m) const {
+    if (family_ == core::LifetimeFamily::kExponential) return -std::log(u);
+    return eta_[m] * std::pow(-std::log(u), inv_shape_[m]);
+  }
+
+  /// A lower bound on threshold(u, m); u * kBuckets is exact.
+  double bound(double u, std::size_t m) const {
+    return floor_[m][static_cast<std::size_t>(u * kBuckets)];
+  }
+
+ private:
+  static constexpr std::size_t kBuckets = 64;
+  core::LifetimeFamily family_;
+  std::array<double, core::kNumMechanisms> shape_{};
+  std::array<double, core::kNumMechanisms> inv_shape_{};
+  std::array<double, core::kNumMechanisms> eta_{};
+  std::array<std::array<double, kBuckets + 1>, core::kNumMechanisms> floor_{};
+};
+
+/// The estimated FIT of one (cell, sensor reading) that DRM policies and
+/// the monitor act on, memoized per block. Direct-mapped with exact keys (the reading's bit pattern), so a
+/// hit returns the very double a recompute would; a collision just
+/// recomputes and overwrites. Quantized readings repeat across chips, so
+/// most phases hit.
+class FitEstimateMemo {
+ public:
+  template <typename Compute>
+  double get(std::size_t cell, double reading, const Compute& compute) {
+    const auto bits = std::bit_cast<std::uint64_t>(reading);
+    const std::uint64_t tag = cell + 1;
+    Slot& slot = slots_[static_cast<std::size_t>(
+        ((bits ^ (tag * 0x9e3779b97f4a7c15ULL)) * 0xff51afd7ed558ccdULL) >>
+        (64 - kLogSlots))];
+    if (slot.tag != tag || slot.bits != bits) {
+      slot.tag = tag;
+      slot.bits = bits;
+      slot.value = compute();
+    }
+    return slot.value;
+  }
+
+ private:
+  static constexpr int kLogSlots = 11;
+  struct Slot {
+    std::uint64_t bits = 0;
+    std::uint64_t tag = 0;  ///< cell + 1; 0 = empty
+    double value = 0.0;
+  };
+  std::vector<Slot> slots_ = std::vector<Slot>(std::size_t{1} << kLogSlots);
+};
 
 /// d ln FIT / dT (1/K) of one mechanism around temperature `t_k`, by forward
 /// difference of the steady-state kernel. Zero when the mechanism's FIT is
@@ -302,22 +389,39 @@ struct FleetSimulator::BlockAccum {
   std::uint64_t reconfigs = 0;
 };
 
-void FleetSimulator::simulate_block(std::uint64_t first, std::uint64_t count,
+/// What every block reads and nothing per chip changes, computed once per
+/// run(). Cells are indexed app * rungs + rung.
+struct FleetSimulator::RunTables {
+  explicit RunTables(const FleetScenario& sc) : thresholds(sc.lifetime) {}
+
+  ThresholdModel thresholds;
+  std::vector<std::array<double, core::kNumMechanisms>> mech_fit;
+  std::vector<drm::OperatingPoint> ladder;  ///< the DVFS controllers' ladder
+  /// Whether anything consumes the sensed FIT estimate (a DRM policy or the
+  /// monitor). Without a consumer the sensor is never read: it draws from
+  /// its own substream, so skipping it moves no other draw.
+  bool senses = false;
+};
+
+void FleetSimulator::simulate_block(const RunTables& tables,
+                                    std::uint64_t first, std::uint64_t count,
                                     BlockAccum* acc) const {
   const auto& sc = scenario_;
+  const ThresholdModel& model = tables.thresholds;
   const std::size_t napps = apps_.size();
   const int rungs = static_cast<int>(cells_[0].size());
+  const std::size_t ncells = napps * static_cast<std::size_t>(rungs);
   const std::size_t nbins = acc->bin_causes.size();
   const double bin_years = sc.curve_bin_years;
   const double horizon = sc.horizon_years;
   const double budget_damage =
       sc.drm.fit_budget * horizon * kFailuresPerFitYear;
 
-  // One ladder per block for the per-chip DVFS controllers.
-  std::vector<drm::OperatingPoint> ladder;
-  if (sc.policy == DrmPolicy::kDvfs) {
-    ladder = drm::dvfs_ladder(scaling::node(sc.tech), rungs);
-  }
+  // Per-chip wear rates of each cell this chip has run, filled on first use:
+  // rate_owner[c] names the chip (index + 1) whose row rates[c] holds.
+  std::vector<InstanceRow> rates(ncells);
+  std::vector<std::uint64_t> rate_owner(ncells, 0);
+  FitEstimateMemo est_memo;
 
   for (std::uint64_t chip = first; chip < first + count; ++chip) {
     const std::uint64_t chip_seed = stream_seed(sc.seed, chip);
@@ -354,35 +458,65 @@ void FleetSimulator::simulate_block(std::uint64_t first, std::uint64_t count,
                           attack_rng.bernoulli(sc.attack.targeted_fraction);
 
     // Damage state. Thresholds are drawn for every instance up front (fixed
-    // draw count regardless of which cells have zero FIT).
-    std::array<std::array<double, core::kNumMechanisms>, sim::kNumStructures>
-        damage{};
-    std::array<std::array<double, core::kNumMechanisms>, sim::kNumStructures>
-        threshold{};
-    auto draw_structure_thresholds = [&](std::size_t s) {
-      for (int m = 0; m < core::kNumMechanisms; ++m) {
-        threshold[s][static_cast<std::size_t>(m)] = unit_mean_threshold(
-            sc.lifetime.family, sc.lifetime.shape[static_cast<std::size_t>(m)],
-            thresh_rng);
+    // draw count regardless of which cells have zero FIT). `bound` holds a
+    // lower bound on each threshold until `exact` says it holds the
+    // threshold itself.
+    InstanceRow damage{};
+    InstanceRow drawn{};
+    InstanceRow bound{};
+    std::uint32_t exact = 0;  // bit i: bound[i] is instance i's threshold
+    const auto draw_threshold = [&](std::size_t i) {
+      const std::size_t m = mechanism_of(i);
+      drawn[i] = model.draw(thresh_rng, m);
+      if (model.lazy()) {
+        bound[i] = model.bound(drawn[i], m);
+        exact &= ~(std::uint32_t{1} << i);
+      } else {
+        bound[i] = drawn[i];
+        exact |= std::uint32_t{1} << i;
       }
     };
-    for (int s = 0; s < sim::kNumStructures; ++s) {
-      draw_structure_thresholds(static_cast<std::size_t>(s));
-    }
-    double tc_damage = 0.0;
-    const double tc_threshold = unit_mean_threshold(
-        sc.lifetime.family,
-        sc.lifetime.shape[static_cast<std::size_t>(core::Mechanism::kTc)],
-        thresh_rng);
+    // A cold spare: fresh structure, zero damage, new thresholds.
+    const auto renew_structure = [&](std::size_t s) {
+      for (std::size_t m = 0; m < static_cast<std::size_t>(core::kNumMechanisms);
+           ++m) {
+        const std::size_t i = s * core::kNumMechanisms + m;
+        damage[i] = 0.0;
+        draw_threshold(i);
+      }
+    };
+    for (std::size_t i = 0; i < kInstances; ++i) draw_threshold(i);
     std::array<int, sim::kNumStructures> spares_left{};
     for (int s = 0; s < sim::kNumStructures; ++s) {
       spares_left[static_cast<std::size_t>(s)] =
           sc.spares.spares[static_cast<std::size_t>(s)];
     }
 
+    // This chip's wear rates on cell c: the cell's FITs under the chip's
+    // per-mechanism stress multipliers.
+    const auto chip_rates = [&](std::size_t c, const CellPoint& cp)
+        -> const InstanceRow& {
+      InstanceRow& row = rates[c];
+      if (rate_owner[c] == chip + 1) return row;
+      rate_owner[c] = chip + 1;
+      std::array<double, core::kNumMechanisms> factor{};
+      for (std::size_t m = 0; m < factor.size(); ++m) {
+        factor[m] = jitter[m] * std::exp(cp.temp_sens[m] * chip_dt);
+      }
+      for (std::size_t i = 0; i < kStructureInstances; ++i) {
+        const std::size_t m = mechanism_of(i);
+        row[i] = cp.fits.by_structure[i / core::kNumMechanisms][m] *
+                 factor[m] * kFailuresPerFitYear;
+      }
+      row[kTcInstance] =
+          cp.fits.tc_fit * factor[mechanism_of(kTcInstance)] *
+          kFailuresPerFitYear;
+      return row;
+    };
+
     std::unique_ptr<drm::DrmController> ctrl;
     if (sc.policy == DrmPolicy::kDvfs) {
-      ctrl = std::make_unique<drm::DrmController>(sc.drm, ladder);
+      ctrl = std::make_unique<drm::DrmController>(sc.drm, tables.ladder);
     }
 
     int rung = 0;
@@ -418,89 +552,83 @@ void FleetSimulator::simulate_block(std::uint64_t first, std::uint64_t count,
         app = sched_rng.below(napps);
       }
       const CellPoint& cp = cells_[app][static_cast<std::size_t>(rung)];
+      const std::size_t cell =
+          app * static_cast<std::size_t>(rungs) + static_cast<std::size_t>(rung);
 
       // Sensing: the controller sees the sensor, not the true junction.
       const double dt_seconds = dt * kHoursPerYear * kSecondsPerHour;
-      const double reading =
-          sensor.read(cp.junction_k + chip_dt, dt_seconds);
-      const double est_dt = reading - cp.junction_k;
-
-      // True and estimated per-mechanism stress multipliers on this chip.
-      std::array<double, core::kNumMechanisms> factor{};
       double est_fit = 0.0;
-      const auto mech_fit = cp.fits.by_mechanism();
-      for (int m = 0; m < core::kNumMechanisms; ++m) {
-        const auto mi = static_cast<std::size_t>(m);
-        factor[mi] = jitter[mi] * std::exp(cp.temp_sens[mi] * chip_dt);
-        est_fit += mech_fit[mi] * std::exp(cp.temp_sens[mi] * est_dt);
+      if (tables.senses) {
+        const double reading =
+            sensor.read(cp.junction_k + chip_dt, dt_seconds);
+        est_fit = est_memo.get(cell, reading, [&] {
+          const double est_dt = reading - cp.junction_k;
+          const auto& mech_fit = tables.mech_fit[cell];
+          double fit = 0.0;
+          for (std::size_t m = 0; m < mech_fit.size(); ++m) {
+            fit += mech_fit[m] * std::exp(cp.temp_sens[m] * est_dt);
+          }
+          return fit;
+        });
       }
 
       // Wear-out event loop inside the phase: damage accrues linearly at
       // this phase's rates, so the next threshold crossing is analytic.
+      const InstanceRow& rate = chip_rates(cell, cp);
       double local_t = 0.0;
       while (alive && local_t < dt) {
-        double t_next = dt - local_t;
-        int ev_s = -1;
-        int ev_m = -1;
-        bool ev_tc = false;
-        for (int s = 0; s < sim::kNumStructures; ++s) {
-          const auto si = static_cast<std::size_t>(s);
-          for (int m = 0; m < core::kNumMechanisms; ++m) {
-            const auto mi = static_cast<std::size_t>(m);
-            const double rate =
-                cp.fits.by_structure[si][mi] * factor[mi] * kFailuresPerFitYear;
-            if (rate <= 0.0) continue;
-            const double tt = (threshold[si][mi] - damage[si][mi]) / rate;
-            if (tt < t_next) {
-              t_next = tt;
-              ev_s = s;
-              ev_m = m;
-              ev_tc = false;
-            }
-          }
+        // Pre-filter, branch-free: instance i cannot cross before the phase
+        // ends when even its threshold's lower bound lies a relative 1e-9
+        // beyond the damage it could reach. Division and subtraction round
+        // monotonically, so the exact test below would find tt >= t_next
+        // for every instance dropped here.
+        const double phase_left = dt - local_t;
+        const double reach = phase_left * (1.0 + 1e-9);
+        std::uint32_t live = 0;
+        for (std::size_t i = 0; i < kInstances; ++i) {
+          live |= static_cast<std::uint32_t>(
+                      !(bound[i] - damage[i] >= rate[i] * reach))
+                  << i;
         }
-        const double tc_rate =
-            cp.fits.tc_fit *
-            factor[static_cast<std::size_t>(core::Mechanism::kTc)] *
-            kFailuresPerFitYear;
-        if (tc_rate > 0.0) {
-          const double tt = (tc_threshold - tc_damage) / tc_rate;
+
+        // The exact search over the survivors, in instance order.
+        double t_next = phase_left;
+        int ev = -1;
+        for (; live != 0; live &= live - 1) {
+          const auto i = static_cast<std::size_t>(std::countr_zero(live));
+          if (rate[i] <= 0.0) continue;
+          if ((exact >> i & 1U) == 0) {
+            bound[i] = model.threshold(drawn[i], mechanism_of(i));
+            exact |= std::uint32_t{1} << i;
+          }
+          const double tt = (bound[i] - damage[i]) / rate[i];
           if (tt < t_next) {
             t_next = tt;
-            ev_s = -1;
-            ev_tc = true;
+            ev = static_cast<int>(i);
           }
         }
 
-        for (int s = 0; s < sim::kNumStructures; ++s) {
-          const auto si = static_cast<std::size_t>(s);
-          for (int m = 0; m < core::kNumMechanisms; ++m) {
-            const auto mi = static_cast<std::size_t>(m);
-            damage[si][mi] +=
-                cp.fits.by_structure[si][mi] * factor[mi] * kFailuresPerFitYear *
-                t_next;
-          }
+        for (std::size_t i = 0; i < kInstances; ++i) {
+          damage[i] += rate[i] * t_next;
         }
-        tc_damage += tc_rate * t_next;
         local_t += t_next;
 
-        if (ev_tc) {
+        if (ev == static_cast<int>(kTcInstance)) {
           alive = false;
           death_t = t + local_t;
           cause = FailureCause::kTc;
-        } else if (ev_s >= 0) {
-          const auto si = static_cast<std::size_t>(ev_s);
+        } else if (ev >= 0) {
+          const auto si = static_cast<std::size_t>(ev) / core::kNumMechanisms;
           if (spares_left[si] > 0) {
-            // Cold spare: fresh structure, zero damage, new thresholds.
             --spares_left[si];
             ++acc->spares;
-            damage[si].fill(0.0);
-            draw_structure_thresholds(si);
+            renew_structure(si);
           } else {
             alive = false;
             death_t = t + local_t;
-            cause = static_cast<FailureCause>(ev_m + 1);
-            dead_structure = ev_s;
+            cause = static_cast<FailureCause>(
+                mechanism_of(static_cast<std::size_t>(ev)) + 1);
+            dead_structure = static_cast<int>(si);
           }
         }
       }
@@ -538,8 +666,7 @@ void FleetSimulator::simulate_block(std::uint64_t first, std::uint64_t count,
               if (spares_left[si] > 0) {
                 --spares_left[si];
                 ++acc->spares;
-                damage[si].fill(0.0);
-                draw_structure_thresholds(si);
+                renew_structure(si);
               }
             }
           }
@@ -581,9 +708,22 @@ FleetResult FleetSimulator::run() const {
                           std::array<std::uint64_t, kNumFailureCauses>{});
   }
 
+  RunTables tables(scenario_);
+  const int rungs = static_cast<int>(cells_[0].size());
+  for (const auto& app_cells : cells_) {
+    for (const CellPoint& cp : app_cells) {
+      tables.mech_fit.push_back(cp.fits.by_mechanism());
+    }
+  }
+  if (scenario_.policy == DrmPolicy::kDvfs) {
+    tables.ladder = drm::dvfs_ladder(scaling::node(scenario_.tech), rungs);
+  }
+  tables.senses = scenario_.policy != DrmPolicy::kNone ||
+                  scenario_.kind == ScenarioKind::kMonitor;
+
   const auto run_block = [&](std::uint64_t b) {
     const std::uint64_t first = b * block;
-    simulate_block(first, std::min(block, chips - first), &accums[b]);
+    simulate_block(tables, first, std::min(block, chips - first), &accums[b]);
   };
 
   // Chips are sharded into fixed blocks; block results are merged in block

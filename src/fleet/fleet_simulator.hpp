@@ -154,8 +154,9 @@ class FleetSimulator {
 
  private:
   struct BlockAccum;
-  void simulate_block(std::uint64_t first, std::uint64_t count,
-                      BlockAccum* acc) const;
+  struct RunTables;
+  void simulate_block(const RunTables& tables, std::uint64_t first,
+                      std::uint64_t count, BlockAccum* acc) const;
 
   FleetScenario scenario_;
   Options opts_;

@@ -55,6 +55,10 @@ void FleetScenario::validate() const {
   RAMP_REQUIRE(attack.occupancy >= 0.0 && attack.occupancy <= 1.0,
                "attack occupancy must lie in [0, 1]");
   RAMP_REQUIRE(monitor.threshold > 0.0, "monitor threshold must be positive");
+  for (const double shape : lifetime.shape) {
+    RAMP_REQUIRE(std::isfinite(shape) && shape > 0.0,
+                 "lifetime shapes must be positive and finite");
+  }
   (void)spares.total();  // validates non-negative counts
 }
 

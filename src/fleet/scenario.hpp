@@ -105,7 +105,8 @@ struct FleetScenario {
 
   drm::DrmConfig drm{};             ///< budget/hysteresis for DVFS & migration
   drm::SensorConfig sensor{};       ///< per-chip thermal-sensor non-idealities
-  core::LifetimeModelConfig lifetime{};  ///< per-mechanism wear-out shapes
+  /// Per-mechanism wear-out shapes (each positive and finite).
+  core::LifetimeModelConfig lifetime{};
   core::SparePlan spares{};         ///< structural redundancy (default none)
   VariationConfig variation{};
   InfantConfig infant{};

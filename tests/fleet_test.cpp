@@ -79,6 +79,17 @@ TEST(FleetScenarioTest, PresetsAndValidation) {
   EXPECT_THROW(bad.validate(), InvalidArgument);
 }
 
+// The threshold transform falls monotonically in the drawn uniform only
+// for positive shapes, which the simulator's lower-bound tables rely on.
+TEST(FleetScenarioTest, RejectsNonPositiveLifetimeShapes) {
+  for (const double shape : {0.0, -2.0, std::nan("")}) {
+    FleetScenario bad = FleetScenario::preset("baseline");
+    bad.lifetime.shape[2] = shape;
+    EXPECT_THROW(bad.validate(), InvalidArgument) << shape;
+    EXPECT_THROW(FleetSimulator{bad}, InvalidArgument) << shape;
+  }
+}
+
 TEST(FleetScenarioTest, PolicyNamesRoundTrip) {
   for (const auto p :
        {DrmPolicy::kNone, DrmPolicy::kDvfs, DrmPolicy::kMigration}) {

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ramp::drm {
 namespace {
@@ -79,6 +82,35 @@ TEST(ThermalSensorTest, DeterministicPerSeed) {
   ThermalSensor a(cfg, 7), b(cfg, 7);
   for (int i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(a.read(350.0, 1e-6), b.read(350.0, 1e-6));
+  }
+}
+
+// The low-pass coefficient is cached while dt repeats. Across a dt sequence
+// that changes (back to an earlier dt, and a shorter final step, as a
+// fleet's last phase is), every reading must carry the exact bits of the
+// uncached step response.
+TEST(ThermalSensorTest, CachedStepResponseIsBitExact) {
+  SensorConfig cfg;
+  cfg.offset_k = 0.3;
+  cfg.noise_sigma_k = 0.5;
+  cfg.quantum_k = 0.0;  // unquantized: any rounding difference shows
+  cfg.time_constant_s = 100e-6;
+  const double dts[] = {1e-6, 1e-6, 3e-5, 3e-5, 3e-5, 1e-6,
+                        2e-4, 2e-4, 1e-6, 7e-7};
+  ThermalSensor s(cfg, 11);
+  Xoshiro256 rng(11);
+  double state = 0.0;
+  for (int i = 0; i < 10; ++i) {
+    const double junction = 340.0 + 2.5 * i;
+    const double dt = dts[i];
+    state = i == 0 ? junction
+                   : state + (1.0 - std::exp(-dt / cfg.time_constant_s)) *
+                                 (junction - state);
+    const double expected =
+        state + cfg.offset_k + rng.normal(0.0, cfg.noise_sigma_k);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.read(junction, dt)),
+              std::bit_cast<std::uint64_t>(expected))
+        << "read " << i << " (dt " << dt << ")";
   }
 }
 
