@@ -75,8 +75,9 @@ class ThresholdModel {
       inv_shape_[m] = 1.0 / cfg.shape[m];
       eta_[m] = 1.0 / std::tgamma(1.0 + 1.0 / cfg.shape[m]);
       // Bucket j of u, [j/kBuckets, (j+1)/kBuckets), is bounded below by
-      // the threshold at its upper edge. The margin covers libm's few-ulp rounding, which
-      // could otherwise put a computed threshold a hair under the bound.
+      // the threshold at its upper edge. The margin covers libm's few-ulp
+      // rounding, which could otherwise put a computed threshold a hair
+      // under the bound.
       for (std::size_t j = 0; j <= kBuckets; ++j) {
         const double edge = std::min(
             1.0, static_cast<double>(j + 1) / static_cast<double>(kBuckets));
@@ -118,10 +119,10 @@ class ThresholdModel {
 };
 
 /// The estimated FIT of one (cell, sensor reading) that DRM policies and
-/// the monitor act on, memoized per block. Direct-mapped with exact keys (the reading's bit pattern), so a
-/// hit returns the very double a recompute would; a collision just
-/// recomputes and overwrites. Quantized readings repeat across chips, so
-/// most phases hit.
+/// the monitor act on, memoized per block. Direct-mapped with exact keys
+/// (the reading's bit pattern), so a hit returns the very double a
+/// recompute would; a collision just recomputes and overwrites. Quantized
+/// readings repeat across chips, so most phases hit.
 class FitEstimateMemo {
  public:
   template <typename Compute>
@@ -395,6 +396,7 @@ struct FleetSimulator::RunTables {
   explicit RunTables(const FleetScenario& sc) : thresholds(sc.lifetime) {}
 
   ThresholdModel thresholds;
+  /// Each cell's fits.by_mechanism(), the FIT estimate's weights.
   std::vector<std::array<double, core::kNumMechanisms>> mech_fit;
   std::vector<drm::OperatingPoint> ladder;  ///< the DVFS controllers' ladder
   /// Whether anything consumes the sensed FIT estimate (a DRM policy or the
@@ -478,9 +480,8 @@ void FleetSimulator::simulate_block(const RunTables& tables,
     };
     // A cold spare: fresh structure, zero damage, new thresholds.
     const auto renew_structure = [&](std::size_t s) {
-      for (std::size_t m = 0; m < static_cast<std::size_t>(core::kNumMechanisms);
-           ++m) {
-        const std::size_t i = s * core::kNumMechanisms + m;
+      const std::size_t begin = s * core::kNumMechanisms;
+      for (std::size_t i = begin; i < begin + core::kNumMechanisms; ++i) {
         damage[i] = 0.0;
         draw_threshold(i);
       }
@@ -552,8 +553,8 @@ void FleetSimulator::simulate_block(const RunTables& tables,
         app = sched_rng.below(napps);
       }
       const CellPoint& cp = cells_[app][static_cast<std::size_t>(rung)];
-      const std::size_t cell =
-          app * static_cast<std::size_t>(rungs) + static_cast<std::size_t>(rung);
+      const std::size_t cell = app * static_cast<std::size_t>(rungs) +
+                               static_cast<std::size_t>(rung);
 
       // Sensing: the controller sees the sensor, not the true junction.
       const double dt_seconds = dt * kHoursPerYear * kSecondsPerHour;

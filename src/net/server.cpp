@@ -490,7 +490,7 @@ struct Server::Impl {
             return;
           }
           if (s.trace != nullptr) {
-            line = resolve_traced_eval(c, s);
+            line = resolve_traced_eval(s);
           } else {
             line = serve::eval_response(s.ticket, s.id).dump();
           }
@@ -536,7 +536,7 @@ struct Server::Impl {
 
   /// Renders a traced eval's response, filling the record's worker phases
   /// and serialize time; the flush phase completes in flush().
-  std::string resolve_traced_eval(Conn& c, Slot& s) {
+  std::string resolve_traced_eval(Slot& s) {
     const SteadyTp r0 = std::chrono::steady_clock::now();
     serve::Json r = serve::eval_response(s.ticket, s.id);
     const SteadyTp r1 = std::chrono::steady_clock::now();

@@ -87,7 +87,7 @@ TEST(ThermalSensorTest, DeterministicPerSeed) {
 
 // The low-pass coefficient is cached while dt repeats. Across a dt sequence
 // that changes (back to an earlier dt, and a shorter final step, as a
-// fleet's last phase is), every reading must carry the exact bits of the
+// fleet's last phase can be), every reading must carry the exact bits of the
 // uncached step response.
 TEST(ThermalSensorTest, CachedStepResponseIsBitExact) {
   SensorConfig cfg;
