@@ -22,13 +22,9 @@ double ThermalSensor::read(double junction_k, double dt_seconds) {
     state_k_ = junction_k;
     primed_ = true;
   } else if (cfg_.time_constant_s > 0.0) {
-    // Exact first-order step response over dt; callers step with a fixed
-    // dt, so its coefficient is recomputed only when dt changes.
-    if (dt_seconds != alpha_dt_) {
-      alpha_ = 1.0 - std::exp(-dt_seconds / cfg_.time_constant_s);
-      alpha_dt_ = dt_seconds;
-    }
-    state_k_ += alpha_ * (junction_k - state_k_);
+    // Exact first-order step response over dt.
+    const double alpha = 1.0 - std::exp(-dt_seconds / cfg_.time_constant_s);
+    state_k_ += alpha * (junction_k - state_k_);
   } else {
     state_k_ = junction_k;
   }

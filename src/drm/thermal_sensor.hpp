@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 
 #include "util/rng.hpp"
 
@@ -42,10 +41,6 @@ class ThermalSensor {
   double state_k_ = 0.0;   ///< low-pass state (true-temperature domain)
   bool primed_ = false;
   double last_reading_ = 0.0;
-  /// Low-pass coefficient 1 - exp(-dt / tau) for dt == alpha_dt_ (NaN:
-  /// none computed yet).
-  double alpha_dt_ = std::numeric_limits<double>::quiet_NaN();
-  double alpha_ = 0.0;
 };
 
 }  // namespace ramp::drm

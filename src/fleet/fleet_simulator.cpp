@@ -61,11 +61,7 @@ constexpr std::size_t mechanism_of(std::size_t i) {
 /// Weibull beta > 1 reproduces wear-out clustering around the MTTF.
 ///
 /// Everything that does not depend on the draw (the Weibull scale, 1/beta)
-/// is computed once per run. Exponential and Weibull thresholds are kept as
-/// their drawn u and transformed only when the event search needs them;
-/// until then bound() gives a lower bound from a per-mechanism table.
-/// Shapes are positive (FleetScenario::validate), so thresholds fall as u
-/// rises.
+/// is computed once per run.
 class ThresholdModel {
  public:
   explicit ThresholdModel(const core::LifetimeModelConfig& cfg)
@@ -74,55 +70,38 @@ class ThresholdModel {
       shape_[m] = cfg.shape[m];
       inv_shape_[m] = 1.0 / cfg.shape[m];
       eta_[m] = 1.0 / std::tgamma(1.0 + 1.0 / cfg.shape[m]);
-      // Bucket j of u, [j/kBuckets, (j+1)/kBuckets), is bounded below by
-      // the threshold at its upper edge. The margin covers libm's few-ulp
-      // rounding, which could otherwise put a computed threshold a hair
-      // under the bound.
-      for (std::size_t j = 0; j <= kBuckets; ++j) {
-        const double edge = std::min(
-            1.0, static_cast<double>(j + 1) / static_cast<double>(kBuckets));
-        floor_[m][j] = lazy() ? threshold(edge, m) * (1.0 - 1e-12) : 0.0;
-      }
     }
   }
 
-  /// True when draw() returns u and threshold() must be applied to it;
-  /// false when draw() already returns the threshold (lognormal).
-  bool lazy() const { return family_ != core::LifetimeFamily::kLognormal; }
-
-  /// Consumes exactly the draws of one threshold, in the same order.
   double draw(Xoshiro256& rng, std::size_t m) const {
     const double u = 1.0 - rng.uniform();  // (0, 1]: keeps log() finite
-    if (lazy()) return u;
-    const double z = rng.normal();
-    return std::exp(-0.5 * shape_[m] * shape_[m] + shape_[m] * z);
-  }
-
-  /// The threshold of a lazy draw u.
-  double threshold(double u, std::size_t m) const {
-    if (family_ == core::LifetimeFamily::kExponential) return -std::log(u);
-    return eta_[m] * std::pow(-std::log(u), inv_shape_[m]);
-  }
-
-  /// A lower bound on threshold(u, m); u * kBuckets is exact.
-  double bound(double u, std::size_t m) const {
-    return floor_[m][static_cast<std::size_t>(u * kBuckets)];
+    switch (family_) {
+      case core::LifetimeFamily::kExponential:
+        return -std::log(u);
+      case core::LifetimeFamily::kWeibull:
+        return eta_[m] * std::pow(-std::log(u), inv_shape_[m]);
+      case core::LifetimeFamily::kLognormal: {
+        const double z = rng.normal();
+        return std::exp(-0.5 * shape_[m] * shape_[m] + shape_[m] * z);
+      }
+    }
+    throw InvalidArgument("unknown lifetime family");
   }
 
  private:
-  static constexpr std::size_t kBuckets = 64;
   core::LifetimeFamily family_;
   std::array<double, core::kNumMechanisms> shape_{};
   std::array<double, core::kNumMechanisms> inv_shape_{};
   std::array<double, core::kNumMechanisms> eta_{};
-  std::array<std::array<double, kBuckets + 1>, core::kNumMechanisms> floor_{};
 };
 
 /// The estimated FIT of one (cell, sensor reading) that DRM policies and
 /// the monitor act on, memoized per block. Direct-mapped with exact keys
 /// (the reading's bit pattern), so a hit returns the very double a
 /// recompute would; a collision just recomputes and overwrites. Quantized
-/// readings repeat across chips, so most phases hit.
+/// readings repeat across chips: with the default 1 K quantum about 98% of
+/// lookups hit (docs/PERFORMANCE.md). An unquantized sensor misses on every
+/// lookup.
 class FitEstimateMemo {
  public:
   template <typename Compute>
@@ -460,23 +439,11 @@ void FleetSimulator::simulate_block(const RunTables& tables,
                           attack_rng.bernoulli(sc.attack.targeted_fraction);
 
     // Damage state. Thresholds are drawn for every instance up front (fixed
-    // draw count regardless of which cells have zero FIT). `bound` holds a
-    // lower bound on each threshold until `exact` says it holds the
-    // threshold itself.
+    // draw count regardless of which cells have zero FIT).
     InstanceRow damage{};
-    InstanceRow drawn{};
-    InstanceRow bound{};
-    std::uint32_t exact = 0;  // bit i: bound[i] is instance i's threshold
+    InstanceRow threshold{};
     const auto draw_threshold = [&](std::size_t i) {
-      const std::size_t m = mechanism_of(i);
-      drawn[i] = model.draw(thresh_rng, m);
-      if (model.lazy()) {
-        bound[i] = model.bound(drawn[i], m);
-        exact &= ~(std::uint32_t{1} << i);
-      } else {
-        bound[i] = drawn[i];
-        exact |= std::uint32_t{1} << i;
-      }
+      threshold[i] = model.draw(thresh_rng, mechanism_of(i));
     };
     // A cold spare: fresh structure, zero damage, new thresholds.
     const auto renew_structure = [&](std::size_t s) {
@@ -579,16 +546,16 @@ void FleetSimulator::simulate_block(const RunTables& tables,
       double local_t = 0.0;
       while (alive && local_t < dt) {
         // Pre-filter, branch-free: instance i cannot cross before the phase
-        // ends when even its threshold's lower bound lies a relative 1e-9
-        // beyond the damage it could reach. Division and subtraction round
-        // monotonically, so the exact test below would find tt >= t_next
-        // for every instance dropped here.
+        // ends when its threshold lies a relative 1e-9 beyond the damage it
+        // could reach. Division and subtraction round monotonically, so the
+        // exact test below would find tt >= t_next for every instance
+        // dropped here.
         const double phase_left = dt - local_t;
         const double reach = phase_left * (1.0 + 1e-9);
         std::uint32_t live = 0;
         for (std::size_t i = 0; i < kInstances; ++i) {
           live |= static_cast<std::uint32_t>(
-                      !(bound[i] - damage[i] >= rate[i] * reach))
+                      !(threshold[i] - damage[i] >= rate[i] * reach))
                   << i;
         }
 
@@ -598,11 +565,7 @@ void FleetSimulator::simulate_block(const RunTables& tables,
         for (; live != 0; live &= live - 1) {
           const auto i = static_cast<std::size_t>(std::countr_zero(live));
           if (rate[i] <= 0.0) continue;
-          if ((exact >> i & 1U) == 0) {
-            bound[i] = model.threshold(drawn[i], mechanism_of(i));
-            exact |= std::uint32_t{1} << i;
-          }
-          const double tt = (bound[i] - damage[i]) / rate[i];
+          const double tt = (threshold[i] - damage[i]) / rate[i];
           if (tt < t_next) {
             t_next = tt;
             ev = static_cast<int>(i);

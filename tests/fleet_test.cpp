@@ -77,8 +77,8 @@ TEST(FleetScenarioTest, PresetsAndValidation) {
   bad = FleetScenario::preset("baseline");
   bad.infant.fraction = 1.5;
   EXPECT_THROW(bad.validate(), InvalidArgument);
-  // Thresholds fall monotonically in the drawn uniform only for positive
-  // shapes, which the simulator's lower-bound tables rely on.
+  // A Weibull beta or lognormal sigma that is not positive and finite
+  // defines no threshold distribution.
   for (const double shape : {0.0, -2.0, std::nan("")}) {
     bad = FleetScenario::preset("baseline");
     bad.lifetime.shape[2] = shape;

@@ -85,11 +85,11 @@ TEST(ThermalSensorTest, DeterministicPerSeed) {
   }
 }
 
-// The low-pass coefficient is cached while dt repeats. Across a dt sequence
-// that changes (back to an earlier dt, and a shorter final step, as a
-// fleet's last phase can be), every reading must carry the exact bits of the
-// uncached step response.
-TEST(ThermalSensorTest, CachedStepResponseIsBitExact) {
+// Across a dt sequence that changes (back to an earlier dt, and a shorter
+// final step, as a fleet's last phase can be), every reading must carry the
+// exact bits of the first-order step response over its own dt: a low-pass
+// coefficient carried over from an earlier step would show here.
+TEST(ThermalSensorTest, StepResponseIsBitExactAcrossChangingDt) {
   SensorConfig cfg;
   cfg.offset_k = 0.3;
   cfg.noise_sigma_k = 0.5;
