@@ -1,17 +1,18 @@
-// The `ramp serve --listen` TCP front-end: one epoll thread, many clients,
-// same NDJSON protocol as stdio (serve/session.hpp holds the semantics).
+// The `ramp serve --listen` TCP transport: one epoll thread, many clients.
+// It only moves bytes; the NDJSON protocol — framing, parsing, dispatch, the
+// in-order response slots, request tracing — is the shared core in
+// serve/session.hpp, the same one the stdio transport drives. This file owns
+// what is TCP's alone: sockets, epoll, accept, the write loop, connection
+// and loop-health metrics, graceful drain, and the aux thread.
 //
-// Architecture. A single event-loop thread owns every socket. Each
-// connection keeps a bounded input buffer, a bounded output buffer, and an
-// in-order queue of response *slots* — one per accepted request, resolved
-// out of order but always delivered in request order (pipelining). Eval
-// requests go through EvalService::try_submit, so identical in-flight
-// requests coalesce *across clients* (per-key single-flight is fleet-wide);
-// workers finishing an evaluation wake the loop via eventfd to pump ready
-// heads. Expensive synchronous ops (`timeline`, `fleet`) run on one aux
-// thread so they never stall the loop; cheap control ops (`stats`,
-// `metrics`, `metrics_reset`) are computed when their slot reaches the head
-// of its connection's line.
+// Architecture. A single event-loop thread owns every socket and one
+// serve::Session per connection. Eval requests go through
+// EvalService::try_submit, so identical in-flight requests coalesce *across
+// clients* (per-key single-flight is fleet-wide); workers finishing an
+// evaluation wake the loop via eventfd to pump ready heads. Expensive ops
+// (`timeline`, `fleet`) run on one aux thread so they never stall the loop;
+// cheap control ops are computed when their slot reaches the head of its
+// connection's line, from live counters.
 //
 // Fairness. Level-triggered epoll with one bounded read per readiness
 // event round-robins ingest across hot clients, and response pumping
@@ -23,8 +24,9 @@
 // accepted-but-unanswered work), or when the EvalService's own pending
 // bound is full, work requests are answered `{"ok":false,"error":
 // "overloaded","overloaded":true}` instead of queueing without bound.
-// Per-connection, a deep pipeline pauses reads (TCP backpressure) before
-// shedding is ever needed.
+// Per connection, a deep pipeline (128 requests) or a large unwritten
+// output (4 MiB) pauses reads (TCP backpressure) before shedding is ever
+// needed.
 //
 // Graceful drain. SIGTERM (via drain_flag) or any client's `shutdown` op:
 // stop accepting, stop reading, answer every accepted request, flush,
@@ -37,38 +39,21 @@
 #include <string>
 
 #include "net/socket.hpp"
-
-namespace ramp::serve {
-class EvalService;
-}
+#include "serve/session.hpp"
 
 namespace ramp::net {
 
-struct ServerOptions {
+/// Tracing switches (serve::TraceOptions: `--request-trace`, `--slow-log`,
+/// `--slow-ms`) plus the TCP transport's own settings.
+struct ServerOptions : serve::TraceOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0: bind an ephemeral port (read via port())
   std::size_t max_connections = 256;
   /// Global cap on accepted-but-unanswered *work* requests (eval, timeline,
   /// fleet) across all connections; beyond it new work is shed.
   std::size_t max_queued_requests = 1024;
-  /// Per-connection pipeline depth that pauses reading (backpressure).
-  std::size_t max_pipeline_per_conn = 128;
-  /// Per-connection buffered output that pauses reading.
-  std::size_t max_outbuf_bytes = 4u << 20;
   /// Graceful-drain request flag (see serve::install_drain_handlers).
   volatile std::sig_atomic_t* drain_flag = nullptr;
-  /// Per-request tracing for every eval (`--request-trace`): phase clock
-  /// pairs on, every request lands in the trace ring. Off (default), only
-  /// requests with `"trace":true` pay for their own breakdown — the serve
-  /// hot path reads no phase clock.
-  bool request_trace = false;
-  /// NDJSON slow-request log (`--slow-log`): every traced request whose
-  /// total latency reaches slow_ms is appended as one line (0 logs every
-  /// traced request). "" disables; a non-empty path implies tracing.
-  std::string slow_log_path;
-  double slow_ms = 10.0;
-  /// Capacity of the recent-trace ring behind the `trace_dump` op.
-  std::size_t trace_ring = 512;
 };
 
 /// Monotonic transport counters; also exported as ramp_net_* metrics on the

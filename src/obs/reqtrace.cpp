@@ -1,9 +1,7 @@
 #include "obs/reqtrace.hpp"
 
 #include <algorithm>
-#include <sstream>
 
-#include "obs/export.hpp"
 #include "util/error.hpp"
 
 namespace ramp::obs {
@@ -157,42 +155,6 @@ std::vector<ThreadTrace> request_lanes(const std::vector<RequestTrace>& recs) {
     }
   }
   return lanes;
-}
-
-std::string request_trace_json(const RequestTrace& rec, double wall_unix_ms) {
-  std::ostringstream out;
-  out << "{\"ts_ms\":" << static_cast<std::uint64_t>(wall_unix_ms)
-      << ",\"trace_id\":" << json_quote(rec.trace_id)
-      << ",\"op\":" << json_quote(rec.op);
-  if (!rec.label.empty()) out << ",\"label\":" << json_quote(rec.label);
-  out << ",\"ok\":" << (rec.ok ? "true" : "false")
-      << ",\"cached\":" << (rec.cached ? "true" : "false")
-      << ",\"coalesced\":" << (rec.coalesced ? "true" : "false")
-      << ",\"start_ns\":" << rec.start_ns
-      << ",\"total_ns\":" << rec.total_ns << ",\"phases\":{";
-  for (int p = 0; p < kNumPhases; ++p) {
-    if (p > 0) out << ',';
-    out << json_quote(std::string(phase_name(static_cast<Phase>(p)))) << ':'
-        << rec.phase_ns[static_cast<std::size_t>(p)];
-  }
-  out << '}';
-  bool any_stage = false;
-  for (const auto ns : rec.stage_ns) any_stage = any_stage || ns != 0;
-  if (any_stage) {
-    out << ",\"stages\":{";
-    bool first = true;
-    for (int s = 0; s < kNumStages; ++s) {
-      const auto ns = rec.stage_ns[static_cast<std::size_t>(s)];
-      if (ns == 0) continue;
-      if (!first) out << ',';
-      first = false;
-      out << json_quote(std::string(stage_name(static_cast<Stage>(s))))
-          << ':' << ns;
-    }
-    out << '}';
-  }
-  out << '}';
-  return out.str();
 }
 
 }  // namespace ramp::obs

@@ -6,14 +6,17 @@
 // span.hpp attributes wall time to *physics stages* process-wide, while a
 // RequestTrace attributes one request's latency to *wire-path phases*, with
 // the compute phase further split by pipeline stage (the worker's per-stage
-// nano deltas around the evaluation). Front-ends fill a RequestTrace with at
-// most one steady_clock pair per phase and only when their per-request trace
-// switch is on — with it off no phase clock is ever read, so the hot path is
-// untouched (the "zero overhead when off" contract the serve-saturation CI
-// gate holds).
+// nano deltas around the evaluation). The serve protocol core
+// (serve/session.hpp) fills a RequestTrace with at most one steady_clock
+// pair per phase and only when its per-request trace switch is on — with it
+// off no phase clock is ever read, so the hot path is untouched (the "zero
+// overhead when off" contract the serve-saturation CI gate holds). The core
+// also renders records as JSON (serve::trace_object), for traced responses
+// and the slow log alike.
 //
-// TraceRing is single-writer by design: exactly one thread (the epoll loop,
-// or a stdio Session's driver) pushes and snapshots, so it needs no locks.
+// TraceRing is single-writer by design: exactly one thread (the thread
+// driving the serve protocol core, for either transport) pushes and
+// snapshots, so it needs no locks.
 // The ring epoch is captured at construction; all RequestTrace timestamps
 // are nanoseconds since that epoch, which keeps every record in one causal
 // timebase for the Perfetto export.
@@ -53,7 +56,7 @@ enum class Phase : int {
 inline constexpr int kNumPhases = 8;
 
 /// Stable lowercase identifier ("read", "parse", ..., "flush") used by the
-/// slow log, the trace object on responses, and the phase metrics.
+/// trace object on responses and in the slow log, and by the phase metrics.
 std::string_view phase_name(Phase p);
 
 /// One request's complete trace record.
@@ -109,10 +112,5 @@ class TraceRing {
 /// phase emits per-stage children (cat "sim", "thermal", ...) when stage
 /// deltas were captured, else one "compute" slice.
 std::vector<ThreadTrace> request_lanes(const std::vector<RequestTrace>& recs);
-
-/// One NDJSON slow-log line (no trailing newline): the full breakdown of one
-/// request. `wall_unix_ms` stamps the record in wall-clock time for log
-/// correlation (the caller reads system_clock once, on this slow path only).
-std::string request_trace_json(const RequestTrace& rec, double wall_unix_ms);
 
 }  // namespace ramp::obs

@@ -14,18 +14,60 @@
 
 namespace ramp::serve {
 
+namespace {
+
+/// Writes what the session has ready, blocking on evals in flight, until it
+/// takes input again — at once when no barrier is held — or, with input
+/// ended or a shutdown accepted, until everything is written. False once
+/// `write` reports the client gone.
+template <typename Write>
+bool settle(Session& session, Write&& write) {
+  while (true) {
+    session.resolve();
+    if (!session.out().empty()) {
+      if (!write(session.out())) return false;
+      session.wrote(session.out().size());
+    }
+    if (session.reading() || session.finished()) return true;
+    session.wait();
+  }
+}
+
+/// Writes all of `bytes`; false on EPIPE & friends (the client is gone).
+bool write_all(int fd, const std::string& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 int serve_loop(std::istream& in, std::ostream& out, EvalService& service) {
-  Session session(service, [&](const std::string& line) {
-    out << line << '\n';
+  Protocol protocol(service, Protocol::Transport::kStdio, {});
+  Session session(protocol);
+  const auto write = [&](const std::string& bytes) {
+    out << bytes;
     out.flush();
     return out.good();
-  });
-
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!session.handle_line(line)) return 0;
+  };
+  char chunk[4096];
+  while (session.reading()) {
+    in.read(chunk, sizeof chunk);
+    if (in.gcount() == 0) break;  // EOF
+    session.feed(chunk, static_cast<std::size_t>(in.gcount()));
+    if (!settle(session, write)) return 0;
   }
-  session.finish();
+  session.end_input();
+  settle(session, write);
   return 0;
 }
 
@@ -51,30 +93,12 @@ volatile std::sig_atomic_t* install_drain_handlers() {
 // ---- fd-based stdio loop ---------------------------------------------------
 
 int serve_stdio(EvalService& service, const StdioOptions& opts) {
-  Session session(service, [&](const std::string& line) {
-    std::string buf = line;
-    buf += '\n';
-    std::size_t off = 0;
-    while (off < buf.size()) {
-      const ssize_t n =
-          ::write(opts.out_fd, buf.data() + off, buf.size() - off);
-      if (n > 0) {
-        off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      return false;  // EPIPE & friends: the client is gone — clean shutdown
-    }
-    return true;
-  });
-  if (opts.request_trace) session.enable_request_trace();
-
-  std::string buffer;
-  bool discarding = false;  // inside an over-long line: drop to next newline
-  bool open = true;
-  while (open) {
-    if (drain_requested(opts.drain_flag)) break;
-
+  Protocol protocol(service, Protocol::Transport::kStdio, opts);
+  Session session(protocol);
+  const auto write = [&](const std::string& bytes) {
+    return write_all(opts.out_fd, bytes);
+  };
+  while (session.reading() && !drain_requested(opts.drain_flag)) {
     struct pollfd pfd{};
     pfd.fd = opts.in_fd;
     pfd.events = POLLIN;
@@ -83,51 +107,22 @@ int serve_stdio(EvalService& service, const StdioOptions& opts) {
       if (errno == EINTR) continue;  // signal: loop re-checks the drain flag
       break;
     }
-    if (pr == 0) {
-      // Timeout: deliver any evals that completed while input was idle —
-      // an interactive client is waiting on them — then re-check the flag.
-      if (!session.pump()) break;
-      continue;
+    if (pr > 0) {
+      char chunk[65536];
+      const ssize_t n = ::read(opts.in_fd, chunk, sizeof chunk);
+      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+      if (n <= 0) break;  // EOF, or unreadable stdin: treat as EOF
+      session.feed(chunk, static_cast<std::size_t>(n));
     }
-
-    char chunk[65536];
-    const ssize_t n = ::read(opts.in_fd, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      break;  // unreadable stdin: treat as EOF
-    }
-    if (n == 0) break;  // EOF
-
-    std::size_t start = 0;
-    for (ssize_t i = 0; i < n && open; ++i) {
-      if (chunk[i] != '\n') continue;
-      if (discarding) {
-        discarding = false;  // the over-long line finally ended; already
-      } else {               // answered when the cap tripped
-        buffer.append(chunk + start, static_cast<std::size_t>(i) - start);
-        if (!session.handle_line(buffer)) open = false;
-        buffer.clear();
-      }
-      start = static_cast<std::size_t>(i) + 1;
-    }
-    if (open && !discarding && start < static_cast<std::size_t>(n)) {
-      buffer.append(chunk + start, static_cast<std::size_t>(n) - start);
-      if (buffer.size() > kMaxRequestLine) {
-        // Answer now and stop buffering: no client may grow our memory
-        // without bound by withholding a newline.
-        if (!session.reject_line(oversize_line_message())) open = false;
-        buffer.clear();
-        discarding = true;
-      }
-    }
+    // New input or a poll timeout: write whatever completed — an
+    // interactive client is waiting on it. EPIPE: the client is gone, a
+    // clean shutdown.
+    if (!settle(session, write)) return 0;
   }
-
-  if (session.shutdown_requested() || session.sink_dead()) return 0;
-  // EOF or drain signal: a final unterminated line still counts (a dying
-  // client may not have flushed its newline), then answer everything
-  // accepted, in order. Nothing accepted is lost.
-  if (!buffer.empty() && !discarding) session.handle_line(buffer);
-  session.finish();
+  // EOF, shutdown or drain signal: answer everything accepted, in order.
+  // Nothing accepted is lost.
+  session.end_input();
+  settle(session, write);
   return 0;
 }
 

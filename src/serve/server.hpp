@@ -1,14 +1,15 @@
-// The `ramp serve` stdio front-end: newline-delimited JSON over a stream
-// pair, built on the shared serve::Session dispatch core (session.hpp holds
-// the protocol; the TCP front-end lives in net/server.hpp).
+// The `ramp serve` stdio transport: newline-delimited JSON over a stream
+// pair. It only moves bytes; the protocol — framing, parsing, dispatch, the
+// in-order response queue, request tracing — is the shared core in
+// session.hpp, the same one the TCP transport (net/server.hpp) drives.
 //
 // One request per input line, one response per line, in request order.
 // Eval requests are *pipelined*: each is submitted to the EvalService
 // immediately (so identical in-flight requests coalesce and distinct ones
-// batch onto the pool), and responses are flushed as the head of the line
-// completes. `stats`, `metrics`, `timeline`, `fleet` and `shutdown` act as
-// barriers — they drain every outstanding eval response first, keeping the
-// one-line-in/one-line-out pairing exact for scripted drivers.
+// batch onto the pool), and responses are written as the head of the line
+// completes. Every other op is a barrier: it is answered once every
+// response before it is written, and no later line is read until it is —
+// keeping the one-line-in/one-line-out pairing exact for scripted clients.
 //
 // Client-death hardening (serve_stdio): the CLI path must survive its
 // client dying mid-stream — `ramp serve | head -1` is a clean shutdown, not
@@ -21,15 +22,15 @@
 #include <csignal>
 #include <iosfwd>
 
+#include "serve/session.hpp"
+
 namespace ramp::serve {
 
-class EvalService;
-
-/// Runs the service loop until `shutdown` or EOF on `in`. Returns the
-/// process exit code (0 on clean shutdown/EOF). Never throws for per-request
-/// problems — those become {"ok":false} responses. This is the
-/// stream-oriented driver unit tests use; the CLI uses serve_stdio below so
-/// signals and client death behave.
+/// Runs the protocol core over a stream pair until `shutdown` or EOF on
+/// `in`. Returns the process exit code (0 on clean shutdown/EOF). Never
+/// throws for per-request problems — those become {"ok":false} responses.
+/// This is the stream adapter unit tests use; the CLI uses serve_stdio below
+/// so signals and client death behave.
 int serve_loop(std::istream& in, std::ostream& out, EvalService& service);
 
 /// Ignores SIGPIPE process-wide so a dead client surfaces as an EPIPE write
@@ -53,22 +54,19 @@ inline bool drain_requested(const volatile std::sig_atomic_t* flag) {
   return flag != nullptr && __atomic_load_n(flag, __ATOMIC_RELAXED) != 0;
 }
 
-struct StdioOptions {
+/// Tracing switches (TraceOptions) plus the stdio transport's own settings.
+struct StdioOptions : TraceOptions {
   int in_fd = 0;
   int out_fd = 1;
   /// When non-null and set (by a signal handler), the loop stops reading,
   /// answers everything accepted, and returns 0.
   volatile std::sig_atomic_t* drain_flag = nullptr;
-  /// Per-request tracing for every eval (`--request-trace`): phase clocks
-  /// on, records land in the session's trace ring. Off: only requests with
-  /// `"trace":true` are timed.
-  bool request_trace = false;
 };
 
-/// The hardened fd-based stdio loop the CLI runs: poll()-driven reads (so a
-/// drain signal is noticed within ~100 ms even with no input), bounded line
-/// buffering (serve::kMaxRequestLine), EPIPE-as-clean-shutdown, graceful
-/// drain on signal. Returns the process exit code.
+/// The hardened fd loop the CLI runs: poll()-driven reads (so a drain
+/// signal is noticed within ~100 ms even with no input, and evals that
+/// complete while input is idle are written then), EPIPE-as-clean-shutdown,
+/// graceful drain on signal. Returns the process exit code.
 int serve_stdio(EvalService& service, const StdioOptions& opts);
 
 }  // namespace ramp::serve

@@ -1,8 +1,10 @@
 #include "serve/session.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <string_view>
 #include <utility>
 
 #include "fleet/fleet_simulator.hpp"
@@ -53,8 +55,6 @@ Json cause_counts_json(
   return j;
 }
 
-}  // namespace
-
 std::string oversize_line_message() {
   return "request line exceeds " + std::to_string(kMaxRequestLine) +
          " bytes";
@@ -66,17 +66,12 @@ void set_id(Json& response, const std::string& id) {
   if (!id.empty()) response.set("id", Json::parse(id));
 }
 
-Json error_response(const std::string& message, const std::string& id) {
+/// {"ok":false,"id":...,"error":message}
+Json error_response(const std::string& message, const std::string& id = {}) {
   Json r = Json::object();
   r.set("ok", false);
   set_id(r, id);
   r.set("error", message);
-  return r;
-}
-
-Json overloaded_response(const std::string& id) {
-  Json r = error_response("overloaded", id);
-  r.set("overloaded", true);
   return r;
 }
 
@@ -87,6 +82,9 @@ Json shutdown_response(const EvalRequest& req) {
   return r;
 }
 
+/// The `stats` op. `quiesce` runs EvalService::drain() first so queue_depth
+/// reflects delivered responses — right for the single stdio client, wrong
+/// for a multi-client server (other clients keep the service busy).
 Json stats_response(EvalService& service, const EvalRequest& req,
                     bool quiesce) {
   if (quiesce) service.drain();  // queue_depth reflects delivered responses
@@ -129,34 +127,6 @@ Json health_response(const EvalRequest& req, const HealthInfo& info) {
       .set("draining", info.draining)
       .set("shards", std::uint64_t{1});
   return r;
-}
-
-Json trace_object(const obs::RequestTrace& rec) {
-  Json t = Json::object();
-  t.set("trace_id", rec.trace_id).set("op", rec.op);
-  if (!rec.label.empty()) t.set("label", rec.label);
-  t.set("start_ns", rec.start_ns)
-      .set("total_ns", rec.total_ns)
-      .set("cached", rec.cached)
-      .set("coalesced", rec.coalesced);
-  Json phases = Json::object();
-  for (int p = 0; p < obs::kNumPhases; ++p) {
-    phases.set(std::string(obs::phase_name(static_cast<obs::Phase>(p))),
-               rec.phase_ns[static_cast<std::size_t>(p)]);
-  }
-  t.set("phases", std::move(phases));
-  bool any_stage = false;
-  for (const auto ns : rec.stage_ns) any_stage = any_stage || ns != 0;
-  if (any_stage) {
-    Json stages = Json::object();
-    for (int s = 0; s < obs::kNumStages; ++s) {
-      const auto ns = rec.stage_ns[static_cast<std::size_t>(s)];
-      if (ns == 0) continue;
-      stages.set(std::string(obs::stage_name(static_cast<obs::Stage>(s))), ns);
-    }
-    t.set("stages", std::move(stages));
-  }
-  return t;
 }
 
 Json trace_dump_response(const EvalRequest& req, const obs::TraceRing& ring) {
@@ -302,28 +272,6 @@ Json fleet_response(EvalService& service, const EvalRequest& req) {
   }
 }
 
-Json control_response(EvalService& service, const EvalRequest& req,
-                      bool quiesce) {
-  switch (req.op) {
-    case Op::kStats: return stats_response(service, req, quiesce);
-    case Op::kMetrics: return metrics_response(service, req, quiesce);
-    case Op::kMetricsReset:
-      return metrics_reset_response(service, req, quiesce);
-    case Op::kTimeline: return timeline_response(service, req);
-    case Op::kFleet: return fleet_response(service, req);
-    case Op::kHealth:
-    case Op::kTraceDump:
-      // Per-transport state (connections, trace ring) lives in the
-      // front-end, which answers these itself before dispatching here.
-      return error_response("internal: op is handled by the front-end",
-                            req.id);
-    case Op::kEval:
-    case Op::kShutdown:
-      break;
-  }
-  return error_response("internal: not a control op", req.id);
-}
-
 Json eval_response(const EvalService::Ticket& ticket, const std::string& id) {
   try {
     const OutcomePtr outcome = ticket.future.get();
@@ -341,184 +289,504 @@ Json eval_response(const EvalService::Ticket& ticket, const std::string& id) {
   }
 }
 
-// ---- Session ---------------------------------------------------------------
 
-Session::Session(EvalService& service, Sink sink)
-    : service_(service), sink_(std::move(sink)) {}
-
-bool Session::respond(const Json& response) {
-  if (sink_dead_) return false;
-  if (!sink_(response.dump())) {
-    sink_dead_ = true;
-    pending_.clear();  // nobody left to deliver to; futures self-complete
-    return false;
+/// Answers a control op (anything but eval and shutdown) that needs only
+/// the service. Never throws: op failures become {"ok":false}.
+Json service_op_response(EvalService& service, const EvalRequest& req,
+                         bool quiesce) {
+  switch (req.op) {
+    case Op::kStats: return stats_response(service, req, quiesce);
+    case Op::kMetrics: return metrics_response(service, req, quiesce);
+    case Op::kMetricsReset:
+      return metrics_reset_response(service, req, quiesce);
+    case Op::kTimeline: return timeline_response(service, req);
+    case Op::kFleet: return fleet_response(service, req);
+    default: break;
   }
-  return true;
+  return error_response("internal: not a service op", req.id);
 }
 
-bool Session::drain_pending(bool all) {
-  while (!pending_.empty()) {
-    if (!all && pending_.front().ticket.future.wait_for(
-                    std::chrono::seconds(0)) != std::future_status::ready) {
-      break;
-    }
-    if (!respond(answer_pending(pending_.front()))) return false;
-    pending_.pop_front();
-  }
-  return true;
-}
+bool is_aux_op(Op op) { return op == Op::kTimeline || op == Op::kFleet; }
 
-Json Session::answer_pending(const Pending& p) {
-  if (!p.traced) return eval_response(p.ticket, p.id);
+}  // namespace
 
-  // Barrier drains reach here with the ticket possibly still in flight;
-  // finish that wait before the clock pair, or the blocking get() inside
-  // eval_response would be billed to the serialize phase (the wait is
-  // already attributed as queue/compute by the worker's cell).
-  p.ticket.future.wait();
-  // The ready/after pair times serialization; everything before it comes
-  // from the pending record and the worker's phase cell.
-  const auto ready = std::chrono::steady_clock::now();
-  Json r = eval_response(p.ticket, p.id);
-  const auto after = std::chrono::steady_clock::now();
-
-  obs::RequestTrace rec;
-  rec.trace_id = p.trace_id;
-  rec.op = "eval";
-  rec.label = p.label;
-  rec.cached = p.ticket.source == EvalService::Source::kCache;
-  rec.coalesced = p.ticket.source == EvalService::Source::kCoalesced;
-  const Json* ok = r.find("ok");
-  rec.ok = ok != nullptr && ok->as_bool("ok");
-
-  const std::uint64_t accepted_ns = ring_.to_epoch_ns(p.accepted);
-  rec.start_ns =
-      accepted_ns >= p.read_parse_ns ? accepted_ns - p.read_parse_ns : 0;
-  auto& ph = rec.phase_ns;
-  ph[static_cast<std::size_t>(obs::Phase::kParse)] = p.read_parse_ns;
-  ph[static_cast<std::size_t>(obs::Phase::kAdmission)] = p.admission_ns;
-  if (p.ticket.source == EvalService::Source::kScheduled &&
-      p.ticket.phases != nullptr) {
-    ph[static_cast<std::size_t>(obs::Phase::kQueue)] = p.ticket.phases->queue_ns;
-    ph[static_cast<std::size_t>(obs::Phase::kCache)] = p.ticket.phases->cache_ns;
-    ph[static_cast<std::size_t>(obs::Phase::kCompute)] =
-        p.ticket.phases->compute_ns;
-    rec.stage_ns = p.ticket.phases->stage_ns;
-  } else {
-    // Cache hits and coalesced joins did no work of their own: their latency
-    // is head-of-line wait behind earlier pipelined responses.
-    ph[static_cast<std::size_t>(obs::Phase::kQueue)] =
-        delta_ns(p.accepted, ready);
-  }
-  ph[static_cast<std::size_t>(obs::Phase::kSerialize)] = delta_ns(ready, after);
-  // kFlush stays 0: the stdio sink writes synchronously right after this.
-  rec.total_ns = delta_ns(p.accepted, after) + p.read_parse_ns;
-
-  ring_.push(rec);
-  if (p.want_response) r.set("trace", trace_object(rec));
+Json overloaded_response(const std::string& id) {
+  Json r = error_response("overloaded", id);
+  r.set("overloaded", true);
   return r;
 }
 
-bool Session::handle_line(const std::string& line) {
-  if (shutdown_ || sink_dead_) return false;
+Json trace_object(const obs::RequestTrace& rec) {
+  Json t = Json::object();
+  t.set("trace_id", rec.trace_id).set("op", rec.op);
+  if (!rec.label.empty()) t.set("label", rec.label);
+  t.set("start_ns", rec.start_ns)
+      .set("total_ns", rec.total_ns)
+      .set("cached", rec.cached)
+      .set("coalesced", rec.coalesced);
+  Json phases = Json::object();
+  for (int p = 0; p < obs::kNumPhases; ++p) {
+    phases.set(std::string(obs::phase_name(static_cast<obs::Phase>(p))),
+               rec.phase_ns[static_cast<std::size_t>(p)]);
+  }
+  t.set("phases", std::move(phases));
+  bool any_stage = false;
+  for (const auto ns : rec.stage_ns) any_stage = any_stage || ns != 0;
+  if (any_stage) {
+    Json stages = Json::object();
+    for (int s = 0; s < obs::kNumStages; ++s) {
+      const auto ns = rec.stage_ns[static_cast<std::size_t>(s)];
+      if (ns == 0) continue;
+      stages.set(std::string(obs::stage_name(static_cast<obs::Stage>(s))), ns);
+    }
+    t.set("stages", std::move(stages));
+  }
+  return t;
+}
 
-  if (line.size() > kMaxRequestLine) return reject_line(oversize_line_message());
-  if (line.find_first_not_of(" \t\r") == std::string::npos) return true;
+std::string slow_log_line(const obs::RequestTrace& rec, double wall_unix_ms) {
+  const Json trace = trace_object(rec);
+  Json line = Json::object();
+  line.set("ts_ms", static_cast<std::uint64_t>(wall_unix_ms));
+  for (const auto& [key, value] : trace.items()) line.set(key, value);
+  line.set("ok", rec.ok);
+  return line.dump();
+}
 
-  // With trace_all_ off this is the only tracing branch the hot path sees:
-  // no clock is read unless the request itself asks for a trace.
-  const auto t0 = trace_all_ ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
+// ---- Protocol --------------------------------------------------------------
+
+Protocol::Protocol(EvalService& service, Transport transport,
+                   const TraceOptions& trace, std::size_t max_queued_work)
+    : service_(service),
+      transport_(transport),
+      max_queued_work_(max_queued_work),
+      tracing_(trace.request_trace || !trace.slow_log_path.empty()) {
+  if (!trace.slow_log_path.empty()) {
+    slow_log_.open(trace.slow_log_path, std::ios::app);
+    RAMP_REQUIRE(slow_log_.is_open(),
+                 "cannot open slow log " + trace.slow_log_path);
+    slow_ns_ = static_cast<std::uint64_t>(trace.slow_ms * 1e6);
+  }
+  auto& reg = service.registry();
+  m_requests_ = reg.counter("ramp_net_requests");
+  m_shed_ = reg.counter("ramp_net_requests_shed");
+  m_parse_errors_ = reg.counter("ramp_net_parse_errors");
+  m_responses_ = reg.counter("ramp_net_responses");
+  m_dropped_ = reg.counter("ramp_net_responses_dropped");
+  const std::vector<double> latency_bounds = {
+      0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+      0.025,  0.05,    0.1,    0.25,  0.5,    1.0,   2.5};
+  constexpr const char* kOpClassName[kNumOpClasses] = {"eval", "control",
+                                                       "aux"};
+  for (int k = 0; k < kNumOpClasses; ++k) {
+    const std::string suffix = kOpClassName[k];
+    m_op_requests_[k] = reg.counter("ramp_net_op_requests_total_" + suffix);
+    m_op_errors_[k] = reg.counter("ramp_net_op_errors_total_" + suffix);
+    m_op_duration_[k] = reg.histogram(
+        "ramp_net_op_duration_seconds_" + suffix, latency_bounds);
+  }
+  for (int p = 0; p < obs::kNumPhases; ++p) {
+    m_phase_ns_[p] = reg.counter(
+        "ramp_net_phase_ns_total_" +
+        std::string(obs::phase_name(static_cast<obs::Phase>(p))));
+  }
+}
+
+Json Protocol::control(const EvalRequest& req) {
+  switch (req.op) {
+    case Op::kHealth: {
+      if (!single_client()) return health_response(req, health());
+      HealthInfo info;
+      info.mode = "stdio";
+      info.uptime_s = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - started_)
+                          .count();
+      info.accepted_connections = 1;
+      info.active_connections = 1;
+      return health_response(req, info);
+    }
+    case Op::kTraceDump: return trace_dump_response(req, ring_);
+    default:
+      // The only client quiesces the service; with many clients the
+      // counters are a live snapshot (the others keep it busy by design).
+      return service_op_response(service_, req, /*quiesce=*/single_client());
+  }
+}
+
+void Protocol::finalize_trace(obs::RequestTrace rec) {
+  for (int p = 0; p < obs::kNumPhases; ++p) {
+    m_phase_ns_[p].inc(rec.phase_ns[static_cast<std::size_t>(p)]);
+  }
+  if (slow_log_.is_open() && rec.total_ns >= slow_ns_) {
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::system_clock::now().time_since_epoch())
+            .count();
+    slow_log_ << slow_log_line(rec, wall_ms) << '\n';
+    slow_log_.flush();
+  }
+  ring_.push(std::move(rec));
+}
+
+// ---- Session ---------------------------------------------------------------
+
+/// Result cell an aux-thread job fills in; the slot holds the same pointer,
+/// so a client going away mid-computation just orphans the cell harmlessly.
+struct Session::AuxResult {
+  std::atomic<bool> done{false};
+  std::string line;
+};
+
+Session::Session(Protocol& protocol) : p_(protocol) {}
+
+Session::~Session() {
+  for (const Slot& s : slots_) {
+    if (s.counts_as_work) p_.queued_work_--;
+    p_.counters_.dropped++;
+    p_.m_dropped_.inc();
+  }
+}
+
+void Session::feed(const char* data, std::size_t n) {
+  if (shutdown_ || input_ended_) return;
+  inbuf_.append(data, n);
+  process_input();
+}
+
+void Session::end_input() {
+  if (input_ended_) return;
+  input_ended_ = true;
+  // An over-long tail was answered when the cap tripped and inbuf_ holds
+  // none of it; any other unterminated tail is a last request.
+  if (!inbuf_.empty() && inbuf_.back() != '\n') inbuf_ += '\n';
+  process_input();
+}
+
+void Session::process_input() {
+  std::size_t start = 0;
+  while (!shutdown_ && !held_) {
+    const std::size_t nl = inbuf_.find('\n', start);
+    if (nl == std::string::npos) break;
+    if (discarding_) {
+      discarding_ = false;  // the over-long line ended; already answered
+    } else {
+      handle_line(start, nl - start);
+    }
+    start = nl + 1;
+  }
+  inbuf_.erase(0, start);
+  if (shutdown_) {
+    inbuf_.clear();
+    return;
+  }
+  // Complete lines behind a barrier wait for it; the stdio transport reads no
+  // more input meanwhile, so the buffer stays bounded.
+  if (held_) return;
+  if (!discarding_ && inbuf_.size() > kMaxRequestLine) {
+    // Stop buffering: no client may grow our memory by withholding '\n'.
+    push_error(oversize_line_message());
+    inbuf_.clear();
+    discarding_ = true;
+    has_partial_ = false;
+  } else if (discarding_) {
+    inbuf_.clear();
+    has_partial_ = false;
+  } else if (p_.tracing_) {
+    // A leftover line head starts (or continues) the next request's read
+    // phase; one clock read per partial arrival, not per byte.
+    if (inbuf_.empty()) {
+      has_partial_ = false;
+    } else if (!has_partial_) {
+      has_partial_ = true;
+      partial_since_ = std::chrono::steady_clock::now();
+    }
+  }
+}
+
+void Session::handle_line(std::size_t start, std::size_t len) {
+  const std::string_view text(inbuf_.data() + start, len);
+  if (text.find_first_not_of(" \t\r") == std::string_view::npos) return;
+  // One clock read per request, always: the RED duration base. With the
+  // trace switch off this is the only timestamp the request ever takes.
+  const SteadyTp t0 = std::chrono::steady_clock::now();
+  std::uint64_t read_ns = 0;
+  if (has_partial_) {
+    // This line's head arrived in an earlier read; the gap is the request's
+    // wire-read phase. Only the buffered head line qualifies.
+    read_ns = delta_ns(partial_since_, t0);
+    has_partial_ = false;
+  }
+  if (len > kMaxRequestLine) {
+    push_error(oversize_line_message());
+    return;
+  }
+
   EvalRequest req;
   try {
-    req = parse_request(line);
+    req = parse_request(std::string(text));
   } catch (const std::exception& e) {
-    // Errors keep request order too: answer everything in front first.
-    if (!drain_pending(/*all=*/true)) return false;
-    return respond(error_response(e.what()));
+    push_error(e.what());
+    return;
   }
+  const SteadyTp t1 = (p_.tracing_ || req.trace)
+                          ? std::chrono::steady_clock::now()
+                          : SteadyTp{};
 
   if (req.op == Op::kShutdown) {
-    if (!drain_pending(/*all=*/true)) return false;
+    push_ready(shutdown_response(req).dump(), t0, Protocol::kOpControl);
     shutdown_ = true;
-    respond(shutdown_response(req));
-    return false;
+    return;
   }
-  if (req.op == Op::kHealth) {
-    if (!drain_pending(/*all=*/true)) return false;
-    HealthInfo info;
-    info.mode = "stdio";
-    info.uptime_s = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - started_)
-                        .count();
-    info.accepted_connections = 1;
-    info.active_connections = 1;
-    return respond(health_response(req, info));
-  }
-  if (req.op == Op::kTraceDump) {
-    if (!drain_pending(/*all=*/true)) return false;
-    return respond(trace_dump_response(req, ring_));
-  }
-  if (req.op != Op::kEval) {
-    // Control ops are barriers on the blocking path: pending evals answer
-    // first, then the op runs synchronously (quiesced — single client).
-    if (!drain_pending(/*all=*/true)) return false;
-    return respond(control_response(service_, req, /*quiesce=*/true));
+  if (req.op == Op::kEval) {
+    admit_eval(std::move(req), t0, t1, read_ns);
+    return;
   }
 
-  Pending p;
-  p.id = req.id;
-  if (trace_all_ || req.trace) {
-    const auto t1 = std::chrono::steady_clock::now();
-    p.traced = true;
-    p.want_response = req.trace;
+  Slot s;
+  s.kind = Slot::Kind::kControl;
+  s.accepted = t0;
+  if (is_aux_op(req.op)) {
+    s.op_class = Protocol::kOpAux;
+    if (!p_.single_client()) {
+      if (p_.queued_work_ >= p_.max_queued_work_) {
+        push_shed(req.id, t0, Protocol::kOpAux);
+        return;
+      }
+      // Expensive ops never stall an event loop: the transport's aux
+      // thread runs them and the slot waits for the published line.
+      s.kind = Slot::Kind::kAux;
+      s.aux = std::make_shared<AuxResult>();
+      s.counts_as_work = true;
+      p_.queued_work_++;
+      p_.run_aux([&service = p_.service_, req = std::move(req), aux = s.aux] {
+        aux->line = service_op_response(service, req, /*quiesce=*/false)
+                        .dump();
+        aux->done.store(true, std::memory_order_release);
+      });
+    }
+  }
+  // Control ops are computed when they reach the head of this client's
+  // line, so they sit after the evals pipelined before them. The only
+  // client's control ops are barriers: nothing after one is handled until
+  // it is answered.
+  if (s.kind == Slot::Kind::kControl) {
+    s.req = std::move(req);
+    held_ = p_.single_client();
+  }
+  push(std::move(s));
+}
+
+void Session::admit_eval(EvalRequest req, SteadyTp t0, SteadyTp t1,
+                         std::uint64_t read_ns) {
+  Slot s;
+  s.kind = Slot::Kind::kEval;
+  s.op_class = Protocol::kOpEval;
+  s.accepted = t0;
+  try {
+    if (p_.single_client()) {
+      // The only client waits out service backpressure; it is never shed.
+      s.ticket = p_.service_.submit(req);
+    } else if (p_.queued_work_ >= p_.max_queued_work_ ||
+               !p_.service_.try_submit(req, &s.ticket)) {
+      // Over the global cap, or the service's pending bound is full: shed,
+      // never block the event loop.
+      push_shed(req.id, t0, Protocol::kOpEval);
+      return;
+    }
+  } catch (const std::exception& e) {
+    push_ready(error_response(e.what(), req.id).dump(), t0,
+               Protocol::kOpEval);
+    return;
+  }
+  s.id = std::move(req.id);
+  s.counts_as_work = true;
+  p_.queued_work_++;
+
+  if (p_.tracing_ || req.trace) {
+    const SteadyTp t2 = std::chrono::steady_clock::now();
+    auto rec = std::make_unique<obs::RequestTrace>();
     if (req.trace_id.empty()) {
       char buf[24];
       std::snprintf(buf, sizeof buf, "s%llx",
-                    static_cast<unsigned long long>(++trace_seq_));
-      p.trace_id = buf;
+                    static_cast<unsigned long long>(++p_.trace_seq_));
+      rec->trace_id = buf;
     } else {
-      p.trace_id = req.trace_id;
+      rec->trace_id = std::move(req.trace_id);
     }
-    p.label = req.app + "@" + std::string(scaling::tech_token(req.node));
-    p.accepted = t1;
-    // A request that asked for a trace under trace_all_ off reports
-    // read/parse as 0 — the clock only started once parsing revealed the
-    // flag (see enable_request_trace()).
-    if (trace_all_) p.read_parse_ns = delta_ns(t0, t1);
-    try {
-      p.ticket = service_.submit(req);
-    } catch (const std::exception& e) {
-      if (!drain_pending(/*all=*/true)) return false;
-      return respond(error_response(e.what(), req.id));
-    }
-    p.admission_ns = delta_ns(t1, std::chrono::steady_clock::now());
-  } else {
-    try {
-      p.ticket = service_.submit(req);
-    } catch (const std::exception& e) {
-      if (!drain_pending(/*all=*/true)) return false;
-      return respond(error_response(e.what(), req.id));
-    }
+    rec->op = "eval";
+    rec->label = req.app + "@" + std::string(scaling::tech_token(req.node));
+    const std::uint64_t t0_ns = p_.ring_.to_epoch_ns(t0);
+    rec->start_ns = t0_ns >= read_ns ? t0_ns - read_ns : 0;
+    auto& ph = rec->phase_ns;
+    ph[static_cast<std::size_t>(obs::Phase::kRead)] = read_ns;
+    // A "trace":true request under a cold tracing switch starts its clock
+    // after parsing — its parse phase reads 0 by construction.
+    ph[static_cast<std::size_t>(obs::Phase::kParse)] =
+        p_.tracing_ ? delta_ns(t0, t1) : 0;
+    ph[static_cast<std::size_t>(obs::Phase::kAdmission)] = delta_ns(t1, t2);
+    rec->cached = s.ticket.source == EvalService::Source::kCache;
+    rec->coalesced = s.ticket.source == EvalService::Source::kCoalesced;
+    s.trace = std::move(rec);
+    s.want_response_trace = req.trace;
   }
-  pending_.push_back(std::move(p));
-  return drain_pending(/*all=*/false);
+  push(std::move(s));
 }
 
-bool Session::reject_line(const std::string& message) {
-  if (shutdown_ || sink_dead_) return false;
-  if (!drain_pending(/*all=*/true)) return false;
-  return respond(error_response(message));
+void Session::push(Slot s) {
+  slots_.push_back(std::move(s));
+  p_.counters_.accepted++;
+  p_.m_requests_.inc();
 }
 
-bool Session::pump() {
-  if (sink_dead_) return false;
-  return drain_pending(/*all=*/false);
+void Session::push_ready(std::string line, SteadyTp accepted, int op_class) {
+  Slot s;
+  s.kind = Slot::Kind::kReady;
+  s.line = std::move(line);
+  s.accepted = accepted;
+  s.op_class = op_class;
+  push(std::move(s));
 }
 
-bool Session::finish() {
-  if (sink_dead_) return false;
-  return drain_pending(/*all=*/true);
+void Session::push_error(const std::string& message) {
+  push_ready(error_response(message).dump(), SteadyTp{},
+             Protocol::kOpControl);
+  p_.counters_.parse_errors++;
+  p_.m_parse_errors_.inc();
+}
+
+void Session::push_shed(const std::string& id, SteadyTp accepted,
+                        int op_class) {
+  push_ready(overloaded_response(id).dump(), accepted, op_class);
+  p_.counters_.shed++;
+  p_.m_shed_.inc();
+}
+
+void Session::resolve() {
+  // One clock read amortized over every slot resolved in a pass — the RED
+  // duration endpoint (excludes the write; identical with tracing on or
+  // off, so the two configurations report comparable latencies).
+  SteadyTp t3{};
+  while (true) {
+    while (!slots_.empty()) {
+      Slot& s = slots_.front();
+      std::string line;
+      switch (s.kind) {
+        case Slot::Kind::kReady:
+          line = std::move(s.line);
+          break;
+        case Slot::Kind::kEval:
+          if (s.ticket.future.wait_for(std::chrono::seconds(0)) !=
+              std::future_status::ready) {
+            return;
+          }
+          line = s.trace != nullptr ? traced_eval_response(s)
+                                    : eval_response(s.ticket, s.id).dump();
+          break;
+        case Slot::Kind::kControl:
+          // A barrier runs once everything before it is written: the op
+          // sees a settled service and a ring holding every earlier trace.
+          if (p_.single_client() && !out_.empty()) return;
+          line = p_.control(s.req).dump();
+          break;
+        case Slot::Kind::kAux:
+          if (!s.aux->done.load(std::memory_order_acquire)) return;
+          line = std::move(s.aux->line);
+          break;
+      }
+      if (t3 == SteadyTp{}) t3 = std::chrono::steady_clock::now();
+      const int k = s.op_class;
+      p_.m_op_requests_[k].inc();
+      // Responses put "ok" first, so errors are a prefix check, not a parse.
+      if (line.rfind("{\"ok\":false", 0) == 0) p_.m_op_errors_[k].inc();
+      if (s.accepted != SteadyTp{}) {
+        p_.m_op_duration_[k].observe(
+            static_cast<double>(delta_ns(s.accepted, t3)) * 1e-9);
+      }
+      if (s.counts_as_work) p_.queued_work_--;
+      out_ += line;
+      out_ += '\n';
+      out_enqueued_ += line.size() + 1;
+      if (s.trace != nullptr) {
+        // The record completes when its last byte is written; park it
+        // against the written-byte watermark.
+        pending_flush_.push_back({out_enqueued_, t3, std::move(*s.trace)});
+      }
+      slots_.pop_front();
+      p_.counters_.responses++;
+      p_.m_responses_.inc();
+    }
+    if (!held_) return;
+    // The barrier is answered: the lines that waited behind it go next.
+    held_ = false;
+    t3 = SteadyTp{};
+    process_input();
+  }
+}
+
+std::string Session::traced_eval_response(Slot& s) {
+  const SteadyTp r0 = std::chrono::steady_clock::now();
+  Json r = eval_response(s.ticket, s.id);
+  const SteadyTp r1 = std::chrono::steady_clock::now();
+
+  obs::RequestTrace& rec = *s.trace;
+  const Json* ok = r.find("ok");
+  rec.ok = ok != nullptr && ok->as_bool("ok");
+  auto& ph = rec.phase_ns;
+  if (s.ticket.source == EvalService::Source::kScheduled &&
+      s.ticket.phases != nullptr) {
+    ph[static_cast<std::size_t>(obs::Phase::kQueue)] =
+        s.ticket.phases->queue_ns;
+    ph[static_cast<std::size_t>(obs::Phase::kCache)] =
+        s.ticket.phases->cache_ns;
+    ph[static_cast<std::size_t>(obs::Phase::kCompute)] =
+        s.ticket.phases->compute_ns;
+    rec.stage_ns = s.ticket.phases->stage_ns;
+  } else {
+    // Cache hit / coalesced join: no work of its own — the latency is
+    // head-of-line wait on this client (minus the phases already attributed
+    // when the line was handled).
+    const std::uint64_t wait = delta_ns(s.accepted, r0);
+    const std::uint64_t booked =
+        ph[static_cast<std::size_t>(obs::Phase::kParse)] +
+        ph[static_cast<std::size_t>(obs::Phase::kAdmission)];
+    ph[static_cast<std::size_t>(obs::Phase::kQueue)] =
+        wait >= booked ? wait - booked : 0;
+  }
+  ph[static_cast<std::size_t>(obs::Phase::kSerialize)] = delta_ns(r0, r1);
+  if (s.want_response_trace) {
+    // The in-response flush phase necessarily reads 0 — a response cannot
+    // carry its own write time. The ring and slow-log records get it.
+    rec.total_ns = delta_ns(s.accepted, r1) +
+                   ph[static_cast<std::size_t>(obs::Phase::kRead)];
+    r.set("trace", trace_object(rec));
+  }
+  return r.dump();
+}
+
+void Session::wrote(std::size_t n) {
+  out_.erase(0, n);
+  out_written_ += n;
+  if (pending_flush_.empty() || pending_flush_.front().target > out_written_) {
+    return;
+  }
+  // One clock read per write batch, shared by every record it completed.
+  const SteadyTp t5 = std::chrono::steady_clock::now();
+  const std::uint64_t t5_ns = p_.ring_.to_epoch_ns(t5);
+  while (!pending_flush_.empty() &&
+         pending_flush_.front().target <= out_written_) {
+    obs::RequestTrace rec = std::move(pending_flush_.front().rec);
+    rec.phase_ns[static_cast<std::size_t>(obs::Phase::kFlush)] =
+        delta_ns(pending_flush_.front().resolved, t5);
+    rec.total_ns = t5_ns >= rec.start_ns ? t5_ns - rec.start_ns : 0;
+    pending_flush_.pop_front();
+    p_.finalize_trace(std::move(rec));
+  }
+}
+
+void Session::wait() const {
+  if (!slots_.empty() && slots_.front().kind == Slot::Kind::kEval) {
+    slots_.front().ticket.future.wait();
+  }
 }
 
 }  // namespace ramp::serve

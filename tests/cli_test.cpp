@@ -516,6 +516,47 @@ exit "$rc"
   fs::remove_all(dir);
 }
 
+TEST(CliTest, ServeSlowLogOverStdioLogsEveryTracedRequest) {
+  // The slow log belongs to the protocol core both transports share, so it
+  // works without --listen: with --slow-ms 0, one parseable line per traced
+  // request, in the format the TCP server writes.
+  const std::string path =
+      ::testing::TempDir() + "ramp_cli_slow_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".ndjson";
+  fs::remove(path);
+  const auto r = run_cli(
+      "serve --trace-len 2000 --no-persist --request-trace --slow-ms 0 "
+      "--slow-log='" + path + "'",
+      "{\"op\":\"eval\",\"app\":\"gcc\",\"node\":\"90\",\"id\":1}\n"
+      "{\"op\":\"eval\",\"app\":\"gcc\",\"node\":\"90\",\"id\":2}\n"
+      "{\"op\":\"eval\",\"app\":\"gzip\",\"node\":\"130\",\"id\":3,"
+      "\"trace\":true,\"trace_id\":\"t3\"}\n"
+      "{\"op\":\"stats\"}\n{\"op\":\"shutdown\"}\n");
+  ASSERT_EQ(r.exit_code, 0);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "no slow log at " << path;
+  std::vector<serve::Json> lines;
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(serve::Json::parse(line));
+  }
+  ASSERT_EQ(lines.size(), 3u);
+  for (const serve::Json& j : lines) {
+    EXPECT_GT(j.find("ts_ms")->as_number(), 0.0);
+    EXPECT_EQ(j.find("op")->as_string(), "eval");
+    EXPECT_FALSE(j.find("trace_id")->as_string().empty());
+    EXPECT_TRUE(j.find("ok")->as_bool());
+    EXPECT_GT(j.find("total_ns")->as_number(), 0.0);
+    ASSERT_NE(j.find("phases"), nullptr);
+    EXPECT_EQ(j.find("phases")->items().size(), 8u);
+  }
+  EXPECT_EQ(lines[0].find("label")->as_string(), "gcc@90");
+  EXPECT_EQ(lines[2].find("label")->as_string(), "gzip@130");
+  EXPECT_EQ(lines[2].find("trace_id")->as_string(), "t3");
+  fs::remove(path);
+}
+
 TEST(CliTest, ServeTcpAnswersMatchAndDrainOnShutdownOp) {
   // End-to-end TCP mode through the real binary: bash's /dev/tcp talks to
   // `serve --listen`, the answer matches the stdio answer for the same

@@ -6,6 +6,7 @@
 // without bound, and graceful drain answers everything it accepted —
 // counters prove nothing accepted is ever silently lost.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <csignal>
@@ -451,7 +452,9 @@ TEST(NetServerTest, TraceDumpReturnsRecentRequestsAsPerfetto) {
 
 TEST(NetServerTest, SlowLogWithZeroThresholdCapturesEveryTracedRequest) {
   const std::string path =
-      ::testing::TempDir() + "ramp_net_server_slow_test.ndjson";
+      ::testing::TempDir() + "ramp_net_server_slow_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".ndjson";
   std::remove(path.c_str());
   {
     serve::EvalService service(tiny_config(), {});

@@ -1,7 +1,7 @@
 // Per-request trace plumbing: ring wrap/order semantics, the epoch
-// timebase, the greedy lane packing behind the Perfetto export, and the
-// slow-log NDJSON line. These are the pieces every serve front-end shares;
-// the front-ends themselves are covered by serve_test / net_server_test.
+// timebase, and the greedy lane packing behind the Perfetto export. The
+// protocol core that fills and renders records (slow-log line included) is
+// covered by serve_test / net_server_test.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,7 +11,6 @@
 
 #include "obs/reqtrace.hpp"
 #include "obs/trace_export.hpp"
-#include "serve/json.hpp"
 
 namespace ramp::obs {
 namespace {
@@ -135,46 +134,6 @@ TEST(ReqTraceTest, LanesFeedTheChromeTraceExporter) {
   EXPECT_NE(json.find("requests-lane-0"), std::string::npos);
   EXPECT_NE(json.find("requests-lane-1"), std::string::npos);
   EXPECT_NE(json.find("ramp-serve requests"), std::string::npos);
-}
-
-TEST(ReqTraceTest, SlowLogLineIsParseableAndComplete) {
-  RequestTrace r = rec_at(123, 456, "abc");
-  r.label = "gcc@90";
-  r.ok = true;
-  r.cached = true;
-  r.phase_ns[static_cast<int>(Phase::kParse)] = 11;
-  r.stage_ns[static_cast<int>(Stage::kThermal)] = 22;
-  const std::string line = request_trace_json(r, 1700000000123.0);
-  const serve::Json j = serve::Json::parse(line);
-  EXPECT_EQ(j.find("ts_ms")->as_number(), 1700000000123.0);
-  EXPECT_EQ(j.find("trace_id")->as_string(), "abc");
-  EXPECT_EQ(j.find("op")->as_string(), "eval");
-  EXPECT_EQ(j.find("label")->as_string(), "gcc@90");
-  EXPECT_TRUE(j.find("ok")->as_bool());
-  EXPECT_TRUE(j.find("cached")->as_bool());
-  EXPECT_FALSE(j.find("coalesced")->as_bool());
-  EXPECT_EQ(j.find("start_ns")->as_number(), 123.0);
-  EXPECT_EQ(j.find("total_ns")->as_number(), 456.0);
-  const serve::Json* phases = j.find("phases");
-  ASSERT_NE(phases, nullptr);
-  int n = 0;
-  for (const auto& [name, ns] : phases->items()) {
-    (void)name;
-    (void)ns;
-    ++n;
-  }
-  EXPECT_EQ(n, kNumPhases);
-  EXPECT_EQ(phases->find("parse")->as_number(), 11.0);
-  const serve::Json* stages = j.find("stages");
-  ASSERT_NE(stages, nullptr);
-  EXPECT_EQ(stages->find("thermal")->as_number(), 22.0);
-}
-
-TEST(ReqTraceTest, SlowLogLineOmitsEmptyStageAndLabel) {
-  const std::string line = request_trace_json(rec_at(0, 1, "x"), 0.0);
-  const serve::Json j = serve::Json::parse(line);
-  EXPECT_EQ(j.find("label"), nullptr);
-  EXPECT_EQ(j.find("stages"), nullptr);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // stage store's memory tier, the 180 nm base run is shared across nodes,
 // and persisted rows round-trip across service instances.
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -12,9 +13,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/reqtrace.hpp"
 #include "pipeline/evaluator.hpp"
 #include "pipeline/stage_graph.hpp"
 #include "pipeline/sweep.hpp"
@@ -23,6 +26,7 @@
 #include "serve/json.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
+#include "serve/session.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/spec2k.hpp"
@@ -668,6 +672,124 @@ TEST(ServeLoopTest, TraceObjectIsPureAddition) {
   // A server-generated trace_id was assigned (no client-supplied one).
   EXPECT_FALSE(
       responses[1].find("trace")->find("trace_id")->as_string().empty());
+}
+
+
+// ---- the stdio transport ---------------------------------------------------
+
+/// Runs serve_stdio over a request file and returns the response lines.
+std::vector<std::string> run_stdio(EvalService& service,
+                                   const std::string& requests) {
+  const std::string base =
+      ::testing::TempDir() + "ramp_serve_stdio_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid());
+  std::ofstream(base + ".in") << requests;
+  const int in_fd = ::open((base + ".in").c_str(), O_RDONLY);
+  const int out_fd =
+      ::open((base + ".out").c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  EXPECT_GE(in_fd, 0);
+  EXPECT_GE(out_fd, 0);
+  StdioOptions opts;
+  opts.in_fd = in_fd;
+  opts.out_fd = out_fd;
+  EXPECT_EQ(serve_stdio(service, opts), 0);
+  ::close(in_fd);
+  ::close(out_fd);
+  std::vector<std::string> lines;
+  std::ifstream out(base + ".out");
+  for (std::string line; std::getline(out, line);) lines.push_back(line);
+  fs::remove(base + ".in");
+  fs::remove(base + ".out");
+  return lines;
+}
+
+// stdio admits with the blocking submit: a full pending bound makes the
+// reader wait, never shed. Six distinct evals against max_pending = 1 all
+// come back ok, in request order.
+TEST(StdioTransportTest, NeverShedsUnderBackpressure) {
+  EvalService::Options opts;
+  opts.jobs = 2;
+  opts.max_pending = 1;
+  EvalService service(tiny_config(), opts);
+  const std::vector<std::string> apps = {"gcc",   "gzip", "twolf",
+                                         "crafty", "bzip2", "vpr"};
+  std::string requests;
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    requests += "{\"op\":\"eval\",\"app\":\"" + apps[i] +
+                "\",\"node\":\"130\",\"id\":" + std::to_string(i) + "}\n";
+  }
+  const std::vector<std::string> lines = run_stdio(service, requests);
+  ASSERT_EQ(lines.size(), apps.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const Json r = Json::parse(lines[i]);
+    EXPECT_TRUE(r.find("ok")->as_bool()) << lines[i];
+    EXPECT_EQ(r.find("overloaded"), nullptr) << lines[i];
+    EXPECT_DOUBLE_EQ(r.find("id")->as_number(), static_cast<double>(i));
+  }
+}
+
+// A slow log that cannot be opened is refused up front, not dropped
+// silently request by request.
+TEST(StdioTransportTest, UnopenableSlowLogIsRefused) {
+  EvalService service(tiny_config(), {});
+  TraceOptions trace;
+  trace.slow_log_path = ::testing::TempDir() + "no_such_dir_" +
+                        std::to_string(::getpid()) + "/slow.ndjson";
+  EXPECT_THROW(Protocol(service, Protocol::Transport::kStdio, trace),
+               InvalidArgument);
+}
+
+// ---- the slow-log line -----------------------------------------------------
+
+obs::RequestTrace rec_at(std::uint64_t start_ns, std::uint64_t total_ns,
+                         const std::string& id) {
+  obs::RequestTrace r;
+  r.trace_id = id;
+  r.op = "eval";
+  r.start_ns = start_ns;
+  r.total_ns = total_ns;
+  return r;
+}
+
+TEST(ReqTraceTest, SlowLogLineIsParseableAndComplete) {
+  obs::RequestTrace r = rec_at(123, 456, "abc");
+  r.label = "gcc@90";
+  r.ok = true;
+  r.cached = true;
+  r.phase_ns[static_cast<int>(obs::Phase::kParse)] = 11;
+  r.stage_ns[static_cast<int>(obs::Stage::kThermal)] = 22;
+  const std::string line = slow_log_line(r, 1700000000123.0);
+  const Json j = Json::parse(line);
+  EXPECT_EQ(j.find("ts_ms")->as_number(), 1700000000123.0);
+  EXPECT_EQ(j.find("trace_id")->as_string(), "abc");
+  EXPECT_EQ(j.find("op")->as_string(), "eval");
+  EXPECT_EQ(j.find("label")->as_string(), "gcc@90");
+  EXPECT_TRUE(j.find("ok")->as_bool());
+  EXPECT_TRUE(j.find("cached")->as_bool());
+  EXPECT_FALSE(j.find("coalesced")->as_bool());
+  EXPECT_EQ(j.find("start_ns")->as_number(), 123.0);
+  EXPECT_EQ(j.find("total_ns")->as_number(), 456.0);
+  const Json* phases = j.find("phases");
+  ASSERT_NE(phases, nullptr);
+  int n = 0;
+  for (const auto& [name, ns] : phases->items()) {
+    (void)name;
+    (void)ns;
+    ++n;
+  }
+  EXPECT_EQ(n, obs::kNumPhases);
+  EXPECT_EQ(phases->find("parse")->as_number(), 11.0);
+  const Json* stages = j.find("stages");
+  ASSERT_NE(stages, nullptr);
+  EXPECT_EQ(stages->find("thermal")->as_number(), 22.0);
+}
+
+TEST(ReqTraceTest, SlowLogLineOmitsEmptyStageAndLabel) {
+  const std::string line = slow_log_line(rec_at(0, 1, "x"), 0.0);
+  const Json j = Json::parse(line);
+  EXPECT_EQ(j.find("label"), nullptr);
+  EXPECT_EQ(j.find("stages"), nullptr);
 }
 
 }  // namespace

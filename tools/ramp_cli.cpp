@@ -482,17 +482,16 @@ int cmd_serve(std::vector<std::string> args) {
     return 2;
   }
   RAMP_REQUIRE(slow_ms >= 0.0, "--slow-ms must be non-negative");
-  RAMP_REQUIRE(!slow_log_flag || !listen.empty(),
-               "--slow-log needs --listen (the slow-request log is a "
-               "TCP-mode feature)");
 
   // --slow-log[=FILE]: bare form lands next to the other serve artifacts.
   std::string slow_log_path;
   if (slow_log_flag) {
-    slow_log_path =
-        slow_log_flag->empty()
-            ? (std::filesystem::path(out_dir) / "serve_slow.ndjson").string()
-            : *slow_log_flag;
+    slow_log_path = *slow_log_flag;
+    if (slow_log_path.empty()) {
+      std::filesystem::create_directories(out_dir);
+      slow_log_path =
+          (std::filesystem::path(out_dir) / "serve_slow.ndjson").string();
+    }
   }
 
   // A client dying mid-stream must be a clean shutdown, not a SIGPIPE
@@ -519,6 +518,8 @@ int cmd_serve(std::vector<std::string> args) {
     serve::StdioOptions sopts;
     sopts.drain_flag = drain;
     sopts.request_trace = request_trace;
+    sopts.slow_log_path = slow_log_path;
+    sopts.slow_ms = slow_ms;
     rc = serve::serve_stdio(service, sopts);
   } else {
     // TCP mode.
