@@ -21,8 +21,13 @@ Per benchmark the *minimum* cpu_time across inputs and repetitions is kept
 from that fastest repetition and omitted when the kernel does not report
 them. Benchmarks are sorted by op name so the artifact diffs cleanly.
 
+With --rounds, each input file is one round (one run of the bench binary):
+each op keeps its per-round minimum as above, then the round holding the
+median of those (the lower median for an even count). This is how the
+committed baseline is blessed.
+
 Usage:
-  bench_to_json.py RESULTS.json... [-o OUT.json]
+  bench_to_json.py RESULTS.json... [-o OUT.json] [--rounds]
 
 The default output is $RAMP_OUT_DIR/BENCH_micro.json (out/BENCH_micro.json
 when RAMP_OUT_DIR is unset). The commit is resolved from `git rev-parse
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -75,10 +81,23 @@ def collect(paths: list[str]) -> list[dict]:
     return [best[op] for op in sorted(best)]
 
 
+def median_of_rounds(paths: list[str]) -> list[dict]:
+    rounds = [{b["op"]: b for b in collect([path])} for path in paths]
+    out = []
+    for op in sorted(set().union(*rounds)):
+        entries = [r[op] for r in rounds if op in r]
+        mid = statistics.median_low(e["ns_per_iter"] for e in entries)
+        out.append(next(e for e in entries if e["ns_per_iter"] == mid))
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("results", nargs="+",
                         help="google-benchmark JSON file(s)")
+    parser.add_argument("--rounds", action="store_true",
+                        help="treat each input as one round and keep each "
+                             "op's median round")
     parser.add_argument("-o", "--output",
                         help="output path (default: "
                              "$RAMP_OUT_DIR/BENCH_micro.json)")
@@ -89,7 +108,8 @@ def main() -> int:
         out_dir = os.environ.get("RAMP_OUT_DIR", "out")
         out_path = os.path.join(out_dir, "BENCH_micro.json")
 
-    benchmarks = collect(args.results)
+    benchmarks = (median_of_rounds(args.results) if args.rounds
+                  else collect(args.results))
     if not benchmarks:
         raise SystemExit("error: no benchmark runs found in the input files")
     doc = {

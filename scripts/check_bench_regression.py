@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Gate micro-kernel performance against a committed baseline.
 
-Compares a freshly produced BENCH_micro.json (scripts/bench_to_json.py,
+Compares freshly produced BENCH_micro.json rounds (scripts/bench_to_json.py,
 schema ``ramp-bench-micro/1``) against the baseline committed at
 ``bench/baselines/BENCH_micro.json`` and fails when any shared op regressed
 by more than the threshold (15% by default).
+
+Each CURRENT file is one round: one run of the bench binary, condensed to
+one figure per op. With several rounds, each op is judged by its median over
+the rounds that measured it, so a single round disturbed by a noisy
+neighbour cannot fail the gate alone, and neither can it pass it alone. The
+committed baseline is recorded the same way (a median of five rounds).
 
 CI runners are not the machine the baseline was recorded on — often a
 slower, 1-2 core VM — so a raw ns-to-ns comparison would flag every op at
@@ -29,8 +35,9 @@ sampled-simulation fast path to its advertised multiple of the detailed
 core (see docs/PERFORMANCE.md). Repeatable.
 
 Usage:
-  check_bench_regression.py CURRENT.json [--baseline BASELINE.json]
-      [--threshold 0.15] [--absolute] [--ratio FAST:SLOW:MIN]
+  check_bench_regression.py CURRENT.json [CURRENT.json ...]
+      [--baseline BASELINE.json] [--threshold 0.15] [--absolute]
+      [--ratio FAST:SLOW:MIN]
 
 Exit status: 0 when within budget, 1 on regression, 2 on usage/IO errors.
 """
@@ -40,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import sys
 
 DEFAULT_BASELINE = "bench/baselines/BENCH_micro.json"
@@ -67,9 +75,19 @@ def load(path: str) -> dict[str, float]:
     return out
 
 
+def median_rounds(paths: list[str]) -> dict[str, float]:
+    """Per-op median over the rounds in `paths` that measured the op."""
+    rounds = [load(path) for path in paths]
+    ops = sorted(set().union(*rounds))
+    return {op: statistics.median(r[op] for r in rounds if op in r)
+            for op in ops}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("current", help="freshly measured BENCH_micro.json")
+    parser.add_argument("current", nargs="+",
+                        help="freshly measured BENCH_micro.json, one per "
+                             "round; each op is judged by its median")
     parser.add_argument("--baseline", default=DEFAULT_BASELINE,
                         help=f"committed baseline (default: "
                              f"{DEFAULT_BASELINE})")
@@ -101,8 +119,10 @@ def main() -> int:
             raise SystemExit(f"error: --ratio {spec!r}: MIN must be positive")
         ratio_gates.append((parts[0], parts[1], minimum))
 
-    current = load(args.current)
+    current = median_rounds(args.current)
     baseline = load(args.baseline)
+    if len(args.current) > 1:
+        print(f"current: per-op median of {len(args.current)} rounds")
 
     shared = sorted(set(current) & set(baseline))
     if not shared:

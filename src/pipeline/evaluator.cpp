@@ -6,6 +6,7 @@
 
 #include "obs/span.hpp"
 #include "pipeline/stage_graph.hpp"
+#include "trace/packed_trace.hpp"
 #include "trace/synthetic_generator.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
@@ -70,6 +71,40 @@ sim::SimMode resolved_sim_mode(const EvaluationConfig& cfg) {
              : sim::SimMode::kDetailed;
 }
 
+namespace {
+
+// The sim stage's instruction stream for `w` under `cfg` (see
+// Evaluator::evaluate for how `packed` is used).
+class CellStream {
+ public:
+  CellStream(const EvaluationConfig& cfg, const workloads::Workload& w,
+             trace::PackedTrace* packed) {
+    const bool shared =
+        packed != nullptr &&
+        resolved_sim_mode(cfg) == sim::SimMode::kDetailed;
+    if (shared && packed->complete() &&
+        packed->size() == cfg.trace_instructions) {
+      reader_ = &replay_.emplace(*packed);
+      return;
+    }
+    reader_ = &synthetic_.emplace(w.profile, cfg.trace_instructions,
+                                  app_trace_seed(cfg.seed, w.name));
+    if (shared && packed->empty()) {
+      reader_ = &recorder_.emplace(*synthetic_, *packed);
+    }
+  }
+
+  trace::TraceReader& reader() { return *reader_; }
+
+ private:
+  std::optional<trace::SyntheticTrace> synthetic_;
+  std::optional<trace::PackedTrace::Recorder> recorder_;
+  std::optional<trace::PackedTrace::Replay> replay_;
+  trace::TraceReader* reader_ = nullptr;
+};
+
+}  // namespace
+
 core::FitSummary scale_summary(const core::FitSummary& raw,
                                const core::MechanismConstants& k) {
   core::FitSummary out = raw;
@@ -91,9 +126,10 @@ Evaluator::Evaluator(EvaluationConfig cfg, std::shared_ptr<StageStore> store)
 AppTechResult Evaluator::evaluate(const workloads::Workload& w,
                                   scaling::TechPoint tech_point,
                                   double sink_target_k,
-                                  BlobStore::Outcome* fit_outcome) const {
+                                  BlobStore::Outcome* fit_outcome,
+                                  trace::PackedTrace* stream) const {
   if (store_ != nullptr) {
-    return evaluate_staged(w, tech_point, sink_target_k, fit_outcome);
+    return evaluate_staged(w, tech_point, sink_target_k, fit_outcome, stream);
   }
   if (fit_outcome != nullptr) *fit_outcome = BlobStore::Outcome::kComputed;
 
@@ -103,11 +139,10 @@ AppTechResult Evaluator::evaluate(const workloads::Workload& w,
   obs::Span trace_span(
       obs::Stage::kTraceGen,
       w.name + "@" + std::string(scaling::tech_token(tech_point)));
-  trace::SyntheticTrace trace_stream(w.profile, cfg_.trace_instructions,
-                                     app_trace_seed(cfg_.seed, w.name));
+  CellStream trace_stream(cfg_, w, stream);
   trace_span.stop();
-  return evaluate_stream(trace_stream, w.name, w.power_bias, tech_point,
-                         sink_target_k);
+  return evaluate_stream(trace_stream.reader(), w.name, w.power_bias,
+                         tech_point, sink_target_k);
 }
 
 // Store-backed path: each stage resolves through the shared StageStore under
@@ -117,7 +152,8 @@ AppTechResult Evaluator::evaluate(const workloads::Workload& w,
 // reuses trace and sim outright.
 AppTechResult Evaluator::evaluate_staged(
     const workloads::Workload& w, scaling::TechPoint tech_point,
-    double sink_target_k, BlobStore::Outcome* fit_outcome) const {
+    double sink_target_k, BlobStore::Outcome* fit_outcome,
+    trace::PackedTrace* stream) const {
   const scaling::TechnologyNode& tech = scaling::node(tech_point);
   using Clock = std::chrono::steady_clock;
   obs::Profiler& prof = obs::Profiler::global();
@@ -145,10 +181,9 @@ AppTechResult Evaluator::evaluate_staged(
                 [&] { return TraceStageOut{tkey.canonical}; });
             RAMP_ASSERT(spec.spec == tkey.canonical);
             obs::Span trace_span(obs::Stage::kTraceGen, cell);
-            trace::SyntheticTrace stream(w.profile, cfg_.trace_instructions,
-                                         app_trace_seed(cfg_.seed, w.name));
+            CellStream trace_stream(cfg_, w, stream);
             trace_span.stop();
-            return run_sim_stage(cfg_, tech, stream, cell);
+            return run_sim_stage(cfg_, tech, trace_stream.reader(), cell);
           });
     }
     return *sim_out;

@@ -33,6 +33,10 @@
 #include "util/blob_store.hpp"
 #include "workloads/spec2k.hpp"
 
+namespace ramp::trace {
+class PackedTrace;
+}
+
 namespace ramp::pipeline {
 
 struct EvaluationConfig {
@@ -202,9 +206,18 @@ class Evaluator {
   /// otherwise the base 0.8 K/W resistance is used as-is. `fit_outcome`,
   /// when non-null, receives how the fit stage was answered (kComputed
   /// whenever no store row could answer it).
+  ///
+  /// `stream`, when non-null, is `w`'s instruction stream shared across
+  /// cells (see trace/packed_trace.hpp). A detailed sim that computes
+  /// replays it when it holds a complete recording of this config's trace,
+  /// and otherwise records the stream it generates into it when it is
+  /// empty; results are bit-identical either way. A complete recording is
+  /// only read, so concurrent evaluations may share it; any other must be
+  /// private to one evaluation. Sampled sims ignore it.
   AppTechResult evaluate(const workloads::Workload& w, scaling::TechPoint tech,
                          double sink_target_k = 0.0,
-                         BlobStore::Outcome* fit_outcome = nullptr) const;
+                         BlobStore::Outcome* fit_outcome = nullptr,
+                         trace::PackedTrace* stream = nullptr) const;
 
   /// Evaluates `w` at every node: 180 nm first (pinning the app's sink
   /// temperature), then each scaled node holding that sink temperature.
@@ -224,7 +237,8 @@ class Evaluator {
  private:
   AppTechResult evaluate_staged(const workloads::Workload& w,
                                 scaling::TechPoint tech, double sink_target_k,
-                                BlobStore::Outcome* fit_outcome) const;
+                                BlobStore::Outcome* fit_outcome,
+                                trace::PackedTrace* stream) const;
 
   EvaluationConfig cfg_;
   std::shared_ptr<StageStore> store_;

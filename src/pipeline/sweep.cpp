@@ -1,12 +1,15 @@
 #include "pipeline/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <deque>
 #include <exception>
 #include <filesystem>
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "core/qualification.hpp"
@@ -14,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "pipeline/stage_graph.hpp"
+#include "trace/packed_trace.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/hashing.hpp"
@@ -228,6 +232,7 @@ std::vector<AppTechResult> evaluate_cells(
   RAMP_REQUIRE(!nodes.empty() && nodes.front() == scaling::TechPoint::k180nm,
                "cell schedules start at the 180 nm base node");
   const std::size_t nnodes = nodes.size();
+  const EvaluationConfig& cfg = evaluator.config();
 
   // Cell results land in their canonical app-major slot as they finish, so
   // the merged vector is independent of execution order.
@@ -236,7 +241,7 @@ std::vector<AppTechResult> evaluate_cells(
   // Runs one (app, node) cell. `sink_target_k` is 0 for the 180 nm base run
   // and the app's pinned sink temperature otherwise.
   const auto run_cell = [&](std::size_t app_i, std::size_t node_i,
-                            double sink_target_k) {
+                            double sink_target_k, trace::PackedTrace* stream) {
     SweepCell cell;
     cell.app = apps[app_i]->name;
     cell.tech = nodes[node_i];
@@ -245,7 +250,8 @@ std::vector<AppTechResult> evaluate_cells(
     if (hooks.on_cell_start) hooks.on_cell_start(cell);
     const auto start = Clock::now();
     AppTechResult& slot = cells[cell.task_id];
-    slot = evaluator.evaluate(*apps[app_i], cell.tech, sink_target_k);
+    slot = evaluator.evaluate(*apps[app_i], cell.tech, sink_target_k, nullptr,
+                              stream);
     if (hooks.on_cell_finish) {
       const std::chrono::duration<double> wall = Clock::now() - start;
       hooks.on_cell_finish(cell, slot, wall.count());
@@ -260,8 +266,7 @@ std::vector<AppTechResult> evaluate_cells(
     std::vector<std::vector<std::size_t>> groups;
     for (std::size_t node_i = 1; node_i < nnodes; ++node_i) {
       std::string key =
-          cell_keys(evaluator.config(), *apps[app_i], nodes[node_i])
-              .sim.canonical;
+          cell_keys(cfg, *apps[app_i], nodes[node_i]).sim.canonical;
       const auto it = std::find(keys.begin(), keys.end(), key);
       if (it == keys.end()) {
         keys.push_back(std::move(key));
@@ -273,59 +278,125 @@ std::vector<AppTechResult> evaluate_cells(
     return groups;
   };
 
-  // Submits `task` to the pool and files its future, or runs it inline.
-  std::mutex futures_mutex;  // guards both future lists
-  std::vector<std::future<void>> base_futures;
-  std::vector<std::future<void>> scaled_futures;
-  const auto spawn = [&](std::vector<std::future<void>>& futures,
-                         std::function<void()> task) {
+  // One recorded stream per app (trace/packed_trace.hpp): its 180 nm run
+  // records the stream it pulls, its scaled groups replay it, and the last
+  // group to finish frees it. Sampled sims draw a different sequence and
+  // never replay; past kMaxReplayInstructions every sim generates its own.
+  const bool replay = resolved_sim_mode(cfg) == sim::SimMode::kDetailed &&
+                      cfg.trace_instructions <= kMaxReplayInstructions &&
+                      nnodes > 1;
+  std::atomic<std::size_t> live_streams{0};
+  const auto release_stream = [&](trace::PackedTrace* stream) {
+    delete stream;
+    const std::size_t live = --live_streams;
+    if (hooks.on_stream_count) hooks.on_stream_count(live);
+  };
+  const auto new_stream = [&](std::size_t app_i) {
+    const std::size_t live = ++live_streams;
+    if (hooks.on_stream_count) hooks.on_stream_count(live);
+    return std::shared_ptr<trace::PackedTrace>(
+        new trace::PackedTrace(apps[app_i]->profile, cfg.trace_instructions),
+        release_stream);
+  };
+
+  // Work items: one base task per app (its 180 nm cell), and once it has
+  // pinned the app's sink temperature, one task per scaled-node group. Each
+  // item gets one pool task, but which item a pool task runs is decided
+  // when it starts: a waiting group before the next base task. So a base
+  // task starts only when no group waits, every live recording belongs to
+  // a running task, and at most one per worker is alive.
+  struct Group {
+    std::size_t app_i = 0;
+    double sink_target_k = 0.0;
+    std::vector<std::size_t> nodes;
+    std::shared_ptr<trace::PackedTrace> stream;
+  };
+  std::mutex schedule_mutex;  // guards the two fields below
+  std::deque<Group> waiting_groups;
+  std::size_t next_base = 0;
+
+  std::mutex futures_mutex;
+  std::vector<std::future<void>> futures;
+  std::function<void()> run_next_item;
+  // Submits one pool task (or runs it inline) that runs the next item.
+  const auto spawn = [&] {
     if (pool == nullptr) {
-      task();
+      run_next_item();
       return;
     }
     const auto submitted =
         hooks.on_dequeue ? Clock::now() : Clock::time_point{};
-    auto future = pool->submit([&hooks, submitted, task = std::move(task)] {
+    auto future = pool->submit([&hooks, &run_next_item, submitted] {
       if (hooks.on_dequeue) hooks.on_dequeue(submitted);
-      task();
+      run_next_item();
     });
     const std::lock_guard<std::mutex> lock(futures_mutex);
     futures.push_back(std::move(future));
   };
 
-  // One base task per app. Once its 180 nm run has pinned the sink
-  // temperature, it fans out the app's scaled-node groups as dependent tasks
-  // on the same pool.
-  for (std::size_t app_i = 0; app_i < apps.size(); ++app_i) {
-    spawn(base_futures, [&, app_i] {
-      run_cell(app_i, 0, 0.0);
-      const double sink_target = cells[app_i * nnodes].sink_temp_k;
-      for (auto& group : sim_groups(app_i)) {
-        spawn(scaled_futures,
-              [&, app_i, sink_target, group = std::move(group)] {
-                for (const std::size_t node_i : group) {
-                  run_cell(app_i, node_i, sink_target);
-                }
-              });
-      }
-    });
-  }
-
-  // Wait for everything before touching the results (or unwinding — tasks
-  // capture locals by reference); remember the first failure.
-  std::exception_ptr failure;
-  const auto drain = [&](std::vector<std::future<void>>& futures) {
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!failure) failure = std::current_exception();
+  const auto run_base = [&](std::size_t app_i) {
+    std::shared_ptr<trace::PackedTrace> stream =
+        replay ? new_stream(app_i) : nullptr;
+    run_cell(app_i, 0, 0.0, stream.get());
+    // Only a complete recording is shared: an incomplete one (the 180 nm
+    // sim was a store hit) would be written to by every group.
+    if (stream != nullptr && !stream->complete()) stream.reset();
+    const double sink_target = cells[app_i * nnodes].sink_temp_k;
+    auto groups = sim_groups(app_i);
+    {
+      const std::lock_guard<std::mutex> lock(schedule_mutex);
+      for (auto& nodes_of_group : groups) {
+        waiting_groups.push_back(
+            Group{app_i, sink_target, std::move(nodes_of_group), stream});
       }
     }
+    stream.reset();
+    for (std::size_t i = 0; i < groups.size(); ++i) spawn();
   };
-  drain(base_futures);
-  // All base tasks have returned, so the dependent-task list is complete.
-  drain(scaled_futures);
+  run_next_item = [&] {
+    std::optional<Group> group;
+    std::size_t base = 0;
+    {
+      const std::lock_guard<std::mutex> lock(schedule_mutex);
+      if (!waiting_groups.empty()) {
+        group = std::move(waiting_groups.front());
+        waiting_groups.pop_front();
+      } else {
+        base = next_base++;
+      }
+    }
+    if (!group) {
+      RAMP_ASSERT(base < apps.size());
+      run_base(base);
+      return;
+    }
+    // Dropped when this task ends, even by an exception: the last group to
+    // finish frees the recording.
+    const auto stream = std::move(group->stream);
+    for (const std::size_t node_i : group->nodes) {
+      run_cell(group->app_i, node_i, group->sink_target_k, stream.get());
+    }
+  };
+  for (std::size_t app_i = 0; app_i < apps.size(); ++app_i) spawn();
+
+  // Wait for everything before touching the results (or unwinding — tasks
+  // capture locals by reference); remember the first failure. The list
+  // grows while it drains: a base task files its groups' pool tasks before
+  // it finishes, so once every filed task is done, all are.
+  std::exception_ptr failure;
+  for (std::size_t i = 0;; ++i) {
+    std::future<void> f;
+    {
+      const std::lock_guard<std::mutex> lock(futures_mutex);
+      if (i == futures.size()) break;
+      f = std::move(futures[i]);
+    }
+    try {
+      f.get();
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
   if (failure) std::rethrow_exception(failure);
   return cells;
 }

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -78,7 +79,15 @@ struct CellHooks {
   std::function<void(const SweepCell& cell, const AppTechResult& result,
                      double wall_seconds)>
       on_cell_finish;
+  /// The number of recorded per-app streams alive changed to `live`.
+  std::function<void(std::size_t live)> on_stream_count;
 };
+
+/// Longest trace evaluate_cells records for replay. A recording takes
+/// about 5.5 bytes per instruction (trace/packed_trace.hpp) and up to one
+/// per worker is alive at once; longer detailed traces are generated once
+/// per sim, as sampled ones always are.
+inline constexpr std::uint64_t kMaxReplayInstructions = 2'000'000;
 
 /// The per-app cell schedule shared by SweepRunner and FleetSimulator:
 /// evaluates every (app, node) cell of `apps` × `nodes`. `nodes[0]` must be
@@ -87,6 +96,13 @@ struct CellHooks {
 /// whose sim-stage keys are equal (e.g. the two 65 nm voltages, which share
 /// a frequency) run in one task, one after the other, so the later ones
 /// are store hits and no worker waits on a peer's in-flight sim.
+///
+/// In detailed mode up to kMaxReplayInstructions, each app's instruction
+/// stream is generated once: the 180 nm sim records it (trace::PackedTrace)
+/// and the scaled sims replay it, bit-identically; the last scaled task to
+/// finish frees it. A pool task picks its work when it starts, a waiting
+/// scaled group before the next app's base cell, so a recording is alive
+/// only while a task of its app runs or waits: at most one per worker.
 ///
 /// Results come back app-major, node-minor (slot app_i × nodes.size() +
 /// node_i, which is also each cell's SweepCell::task_id) whatever the

@@ -11,16 +11,6 @@ namespace {
 constexpr std::uint16_t kNumIntRegs = 32;
 constexpr std::uint16_t kNumFpRegs = 32;
 constexpr std::uint16_t kFpRegBase = 32;
-constexpr std::uint64_t kInstrBytes = 4;
-
-// Deterministic per-PC hash (SplitMix64 finalizer) — fixes each static
-// branch's preferred direction and target.
-std::uint64_t pc_hash(std::uint64_t pc) {
-  std::uint64_t z = pc + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 void validate(const GeneratorProfile& p) {
   RAMP_REQUIRE(p.op_mix.size() == static_cast<std::size_t>(kNumOpClasses),
@@ -53,15 +43,17 @@ void validate(const GeneratorProfile& p) {
 
 SyntheticTrace::SyntheticTrace(const GeneratorProfile& profile,
                                std::uint64_t length, std::uint64_t seed)
-    : profile_(profile), length_(length), rng_(seed), mix_(profile.op_mix) {
+    : profile_(profile),
+      length_(length),
+      rng_(seed),
+      mix_(profile.op_mix),
+      code_(profile) {
   validate(profile_);
   dep_distance_ = Geometric(profile_.dep_distance_p);
   stream_span_ = std::max<std::uint64_t>(
       profile_.hot_footprint_bytes /
           static_cast<std::uint64_t>(profile_.num_streams),
       64);
-  code_span_ = static_cast<std::uint64_t>(profile_.code_blocks) *
-               static_cast<std::uint64_t>(profile_.block_len) * kInstrBytes;
   stream_pos_.resize(static_cast<std::size_t>(profile_.num_streams));
   // Lay streams out contiguously with a 3-line skew between them so their
   // footprints land in different cache sets (bases that are multiples of
@@ -149,7 +141,7 @@ Instruction SyntheticTrace::synthesize() {
     ins.op = OpClass::kLogicalCr;
   }
 
-  ins.pc = pc_;
+  ins.pc = code_.pc();
   const bool fp = is_fp(ins.op);
 
   switch (ins.op) {
@@ -168,7 +160,7 @@ Instruction SyntheticTrace::synthesize() {
       ins.src1 = pick_source(false);
       // Preferred direction is a fixed property of the static branch; the
       // dynamic outcome deviates with probability branch_noise.
-      const std::uint64_t h = pc_hash(ins.pc);
+      const std::uint64_t h = static_branch_hash(ins.pc);
       const bool preferred =
           (h & 0x3ff) < static_cast<std::uint64_t>(profile_.taken_bias * 1024.0);
       ins.branch_taken =
@@ -203,7 +195,7 @@ Instruction SyntheticTrace::synthesize_functional() {
   Instruction ins;
   ins.op = static_cast<OpClass>(mix_.sample(rng_));
 
-  // Same static branch grid as synthesize() — pc_ evolves identically on
+  // Same static branch grid as synthesize() — the pc evolves identically on
   // both paths, so the set of static branch sites is shared.
   const bool grid_slot =
       block_offset_ == static_cast<std::uint64_t>(profile_.block_len) - 1;
@@ -213,7 +205,7 @@ Instruction SyntheticTrace::synthesize_functional() {
     ins.op = OpClass::kLogicalCr;
   }
 
-  ins.pc = pc_;
+  ins.pc = code_.pc();
 
   // Only the fields the warming pass consumes: no register draws, no
   // recent-producer bookkeeping. The RNG therefore advances differently
@@ -224,7 +216,7 @@ Instruction SyntheticTrace::synthesize_functional() {
       ins.mem_addr = gen_mem_addr();
       break;
     case OpClass::kBranch: {
-      const std::uint64_t h = pc_hash(ins.pc);
+      const std::uint64_t h = static_branch_hash(ins.pc);
       const bool preferred =
           (h & 0x3ff) < static_cast<std::uint64_t>(profile_.taken_bias * 1024.0);
       ins.branch_taken =
@@ -240,27 +232,11 @@ Instruction SyntheticTrace::synthesize_functional() {
 }
 
 void SyntheticTrace::advance_pc(Instruction& ins) {
-  if (ins.op == OpClass::kBranch) {
-    // Branches occupy only the last slot of a block, and both exits land on
-    // a block base (taken targets are block-aligned; not-taken falls into
-    // the next block or wraps), so the block offset resets to zero.
-    block_offset_ = 0;
-    if (ins.branch_taken) {
-      // Jump to this static branch's fixed target block (BTB-learnable).
-      const std::uint64_t block =
-          (pc_hash(ins.pc) >> 10) % static_cast<std::uint64_t>(profile_.code_blocks);
-      ins.branch_target =
-          0x10000 + block * static_cast<std::uint64_t>(profile_.block_len) * kInstrBytes;
-      pc_ = ins.branch_target;
-    } else {
-      ins.branch_target = pc_ + kInstrBytes;
-      pc_ += kInstrBytes;
-      if (pc_ >= 0x10000 + code_span_) pc_ = 0x10000;
-    }
-  } else {
-    pc_ += kInstrBytes;
-    ++block_offset_;
-  }
+  // Branches occupy only the last slot of a block, and both exits land on a
+  // block base (taken targets are block-aligned; not-taken falls into the
+  // next block or wraps), so the block offset resets to zero.
+  block_offset_ = ins.op == OpClass::kBranch ? 0 : block_offset_ + 1;
+  code_.advance(ins);
 }
 
 }  // namespace ramp::trace

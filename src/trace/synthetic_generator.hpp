@@ -59,6 +59,60 @@ struct GeneratorProfile {
   int block_len = 12;  ///< instructions per basic block between branches
 };
 
+/// Deterministic per-PC hash (SplitMix64 finalizer): fixes each static
+/// branch's preferred direction (low 10 bits) and target block (the rest).
+inline std::uint64_t static_branch_hash(std::uint64_t pc) {
+  std::uint64_t z = pc + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// The synthetic stream's control flow over a profile's static code: the
+/// pc of the next instruction, and where each instruction leaves it. A
+/// taken branch jumps to its static target block, a not-taken one falls
+/// into the next block (wrapping at the end of the code), anything else
+/// steps one instruction. The pc sequence is therefore a function of the
+/// op classes and branch directions alone, which is what lets a recorded
+/// stream (trace::PackedTrace) drop pcs and targets.
+class CodeWalk {
+ public:
+  static constexpr std::uint64_t kCodeBase = 0x10000;
+  static constexpr std::uint64_t kInstrBytes = 4;
+
+  explicit CodeWalk(const GeneratorProfile& profile)
+      : code_blocks_(static_cast<std::uint64_t>(profile.code_blocks)),
+        block_bytes_(static_cast<std::uint64_t>(profile.block_len) *
+                     kInstrBytes),
+        code_end_(kCodeBase + code_blocks_ * block_bytes_) {}
+
+  std::uint64_t pc() const { return pc_; }
+
+  /// Moves past `ins`, the instruction at pc(): fills a branch's
+  /// branch_target and advances pc().
+  void advance(Instruction& ins) {
+    if (ins.op != OpClass::kBranch) {
+      pc_ += kInstrBytes;
+    } else if (ins.branch_taken) {
+      // Jump to this static branch's fixed target block (BTB-learnable).
+      const std::uint64_t block =
+          (static_branch_hash(ins.pc) >> 10) % code_blocks_;
+      ins.branch_target = kCodeBase + block * block_bytes_;
+      pc_ = ins.branch_target;
+    } else {
+      ins.branch_target = pc_ + kInstrBytes;
+      pc_ += kInstrBytes;
+      if (pc_ >= code_end_) pc_ = kCodeBase;
+    }
+  }
+
+ private:
+  std::uint64_t code_blocks_;
+  std::uint64_t block_bytes_;
+  std::uint64_t code_end_;
+  std::uint64_t pc_ = kCodeBase;
+};
+
 /// Deterministic synthetic trace stream; exhausted after `length`
 /// instructions.
 class SyntheticTrace final : public TraceReader {
@@ -114,14 +168,14 @@ class SyntheticTrace final : public TraceReader {
   std::uint16_t next_fp_reg_ = 0;
 
   std::vector<std::uint64_t> stream_pos_;
-  // Derived constants hoisted out of the per-instruction path (each would
-  // otherwise cost a 64-bit division per instruction or per memory access).
+  // Derived constant hoisted out of the per-access path (it would otherwise
+  // cost a 64-bit division per memory access).
   std::uint64_t stream_span_ = 0;
-  std::uint64_t code_span_ = 0;
-  std::uint64_t pc_ = 0x10000;
-  // pc_'s offset within its basic block, tracked incrementally: branches sit
-  // only on the last slot of each block, and both branch exits (taken jumps
-  // to a block base; not-taken falls into the next block) reset it to zero.
+  CodeWalk code_;
+  // The pc's offset within its basic block, tracked incrementally: branches
+  // sit only on the last slot of each block, and both branch exits (taken
+  // jumps to a block base; not-taken falls into the next block) reset it to
+  // zero.
   std::uint64_t block_offset_ = 0;
 };
 

@@ -166,6 +166,20 @@ INSTANTIATE_TEST_SUITE_P(
       return run_name(run.param);
     });
 
+TEST(OooCoreGoldenSkipTest, ShortIntervalsMatchDigest) {
+  // run() may jump over cycles in which no stage can act, but never past an
+  // interval boundary. ammp at 65 nm (1.0 V) stalls on long memory misses;
+  // a 97-cycle interval (prime, far below a miss latency) lands boundaries
+  // inside those stalls, so every jump is clamped somewhere mid-stall. The
+  // line was recorded from the cycle-by-cycle core.
+  const CoreConfig cfg = core_config_for(scaling::node(scaling::TechPoint::k65nm_1V0));
+  trace::SyntheticTrace t(workloads::workload("ammp").profile, kInstructions,
+                          kSeed);
+  OooCore core(cfg);
+  const std::string name = "skip_ammp_65_1_0_iv97";
+  expect_golden(name, digest_line(name, core.run(t, 97)));
+}
+
 TEST(OooCoreGoldenStepTest, LiveCountersMatchDigest) {
   // step()-driven: no interval chopping; live_counters() carries whole-run
   // totals. Sampled every 4096 cycles plus the drained final state.

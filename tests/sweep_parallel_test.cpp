@@ -7,9 +7,11 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <vector>
 
+#include "core/qualification.hpp"
 #include "obs/metrics.hpp"
 #include "pipeline/stage_graph.hpp"
 #include "pipeline/sweep.hpp"
@@ -57,6 +59,69 @@ TEST(SweepParallelTest, ExternalPoolReuseMatchesToo) {
   const SweepRunner runner(quick_config(), opts);
   EXPECT_EQ(sweep_to_csv(runner.run()), serial_csv());
   EXPECT_EQ(sweep_to_csv(runner.run()), serial_csv());  // pool still usable
+}
+
+// The sweep generates each app's stream once and replays it at the scaled
+// nodes; the same grid evaluated app by app, every sim generating its own
+// stream, must serialize to the same bytes.
+TEST(SweepParallelTest, ReplayedSweepMatchesStreamingEvaluation) {
+  const Evaluator evaluator(quick_config());
+  SweepResult streamed;
+  streamed.config = quick_config();
+  std::vector<core::FitSummary> raw_180;
+  for (const auto& w : workloads::spec2k_suite()) {
+    for (auto& r : evaluator.evaluate_app(w)) {
+      if (r.tech == scaling::TechPoint::k180nm) raw_180.push_back(r.raw_fits);
+      streamed.results.push_back(std::move(r));
+    }
+  }
+  streamed.constants = core::qualify(raw_180);
+  const std::string want = sweep_to_csv(streamed);
+  EXPECT_EQ(serial_csv(), want);
+  EXPECT_EQ(runner_csv(4), want);
+}
+
+/// Runs the 80-cell schedule on `jobs` workers under `cfg` and returns the
+/// live-stream counts evaluate_cells reported, in report order.
+std::vector<std::size_t> stream_counts(const EvaluationConfig& cfg,
+                                       std::size_t jobs) {
+  std::vector<const workloads::Workload*> apps;
+  for (const auto& w : workloads::spec2k_suite()) apps.push_back(&w);
+  std::vector<scaling::TechPoint> nodes = {scaling::TechPoint::k180nm};
+  for (const auto tp : scaling::kAllTechPoints) {
+    if (tp != scaling::TechPoint::k180nm) nodes.push_back(tp);
+  }
+  std::mutex mutex;
+  std::vector<std::size_t> counts;
+  CellHooks hooks;
+  hooks.on_stream_count = [&](std::size_t live) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    counts.push_back(live);
+  };
+  ThreadPool pool(jobs);
+  const Evaluator evaluator(cfg, std::make_shared<StageStore>());
+  const auto cells = evaluate_cells(evaluator, apps, nodes, &pool, hooks);
+  EXPECT_EQ(cells.size(), 80u);
+  return counts;
+}
+
+TEST(SweepParallelTest, AtMostOneRecordedStreamPerWorkerIsLive) {
+  for (const std::size_t jobs : {1, 2, 4}) {
+    SCOPED_TRACE(jobs);
+    const auto counts = stream_counts(quick_config(), jobs);
+    // Each app's stream is opened once and freed once; every value the live
+    // count takes is reported exactly once.
+    ASSERT_EQ(counts.size(), 32u);
+    EXPECT_EQ(*std::min_element(counts.begin(), counts.end()), 0u);
+    EXPECT_GE(*std::max_element(counts.begin(), counts.end()), 1u);
+    EXPECT_LE(*std::max_element(counts.begin(), counts.end()), jobs);
+  }
+}
+
+TEST(SweepParallelTest, SampledSweepsNeverRecordStreams) {
+  EvaluationConfig cfg = quick_config();
+  cfg.sim_mode = sim::SimMode::kSampled;
+  EXPECT_TRUE(stream_counts(cfg, 2).empty());
 }
 
 TEST(SweepParallelTest, RejectsZeroJobs) {
