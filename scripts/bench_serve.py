@@ -9,6 +9,13 @@ schedule whether or not earlier ones completed, so a saturated server
 cannot slow the offered load down and hide the knee (coordinated
 omission).
 
+Every pass is a schedule file (``due_us<TAB>conn<TAB>json``, one request a
+line) run by the repository's one load client, ``perfbench_native
+loadgen`` (built as build/tools/perfbench_native); counts and latencies
+come from the rows it writes back. Latency runs from each request's due
+time, not its send time, so a generator or server that falls behind is
+charged for the wait it causes.
+
 A sweep point is "good" when the server kept up: achieved throughput
 within 5% of offered, zero transport errors, zero `overloaded` sheds, and
 every request answered. The knee is the highest good rate; the summary
@@ -47,7 +54,7 @@ a bench run doubles as a graceful-drain check.
 
 Usage:
   bench_serve.py [--out out/BENCH_serve.json] [--smoke]
-      [--ramp build/tools/ramp] [--loadgen build/tools/ramp_loadgen]
+      [--ramp build/tools/ramp] [--loadgen build/tools/perfbench_native]
       [--duration 4.0] [--start-rate 500] [--max-rate 2000000]
       [--connections 16] [--jobs N] [--trace-len 3000]
 
@@ -63,6 +70,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
+import shutil
 import signal
 import socket
 import subprocess
@@ -87,38 +96,127 @@ def git_commit() -> str:
         return "unknown"
 
 
-def run_loadgen(loadgen: str, port_file: str, args: list[str],
-                timeout_s: float) -> dict | None:
-    """Runs one loadgen pass; returns its summary dict (None on failure)."""
-    cmd = [loadgen, "--port-file", port_file] + args
+APPS = ("gcc", "gzip", "twolf", "crafty")
+NODES = ("180", "130", "90", "65-1.0")
+HOT_FRAC = 0.5        # open-loop and RTT passes: half the load on one key
+WARM_REQUESTS = 2000  # closed-loop warm-up: covers all 16 keys many times
+RTT_REQUESTS = 2000   # closed-loop RTT pass at one request in flight
+
+
+def build_schedule(rate: float, duration: float, connections: int,
+                   hot_frac: float, trace_len: int,
+                   seed: int = 42) -> list[tuple[int, int, str]]:
+    """``rate`` eval requests a second for ``duration`` s, evenly spaced, as
+    ``(due_us, conn, json)`` schedule rows taking connections round-robin.
+
+    Fraction ``hot_frac`` goes to ONE hot key (the first app x node), the
+    rest uniformly over the app x node pool: hot-key traffic exercises the
+    server's single-flight and cache path, uniform traffic its scheduling
+    and miss path. A closed-loop pass ignores due times, so it asks for its
+    request count as the rate over 1 s.
+    """
+    rng = random.Random(seed)
+    rows = []
+    for i in range(round(rate * duration)):
+        app, node = APPS[0], NODES[0]
+        if rng.random() >= hot_frac:
+            app, node = rng.choice(APPS), rng.choice(NODES)
+        line = (f'{{"op":"eval","app":"{app}","node":"{node}",'
+                f'"trace_len":{trace_len},"id":{i}}}')
+        rows.append((int(i * 1e6 / rate), i % connections, line))
+    return rows
+
+
+def summarize(rows: list[tuple[int, int, int, str]],
+              offered_rps: float) -> dict:
+    """Counts and latencies of one generator pass from its ``--out`` rows
+    ``(due_ns, sent_ns, recv_ns, reply)``; ``recv_ns`` is -1 when the
+    request was never answered. Latency runs from the due time, so a
+    server that falls behind is charged for the queue it builds."""
+    s = {"offered_rps": offered_rps, "sent": len(rows), "completed": 0,
+         "ok": 0, "errors": 0, "overloaded": 0}
+    lat_ms = []
+    for due, _sent, recv, reply in rows:
+        if recv < 0:
+            continue
+        s["completed"] += 1
+        lat_ms.append((recv - due) / 1e6)
+        try:
+            r = json.loads(reply)
+        except json.JSONDecodeError:
+            r = {}
+        if r.get("ok") is True:
+            s["ok"] += 1
+        elif r.get("overloaded"):
+            s["overloaded"] += 1
+        else:
+            s["errors"] += 1
+    lat_ms.sort()
+    last_ns = max((recv for _, _, recv, _ in rows), default=0)
+    s["achieved_rps"] = s["completed"] / (last_ns / 1e9) if last_ns > 0 else 0.0
+    for key, q in (("p50_ms", 0.50), ("p99_ms", 0.99)):
+        s[key] = lat_ms[int(q * (len(lat_ms) - 1))] if lat_ms else 0.0
+    return s
+
+
+def run_loadgen(loadgen: str, port: int, rows: list[tuple[int, int, str]],
+                path: str, timeout_s: float, closed: bool = False,
+                offered_rps: float = 0.0) -> dict | None:
+    """Runs one ``perfbench_native loadgen`` pass over ``rows``; returns
+    its summary (None when the generator failed)."""
+    with open(path + ".sched", "w", encoding="utf-8") as f:
+        for due_us, conn, line in rows:
+            f.write(f"{due_us}\t{conn}\t{line}\n")
+    cmd = [loadgen, "loadgen", "--port", str(port),
+           "--schedule", path + ".sched", "--out", path + ".out"]
+    if closed:
+        cmd.append("--closed")
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=timeout_s)
     except subprocess.TimeoutExpired:
         log(f"loadgen timed out: {' '.join(cmd)}")
         return None
-    line = proc.stdout.strip().splitlines()
-    if not line:
-        log(f"loadgen produced no summary (rc {proc.returncode}): "
-            f"{proc.stderr.strip()}")
+    if proc.returncode != 0:
+        log(f"loadgen failed (rc {proc.returncode}): {proc.stderr.strip()}")
         return None
-    try:
-        summary = json.loads(line[-1])
-    except json.JSONDecodeError:
-        log(f"loadgen summary is not JSON: {line[-1]!r}")
-        return None
-    summary["loadgen_rc"] = proc.returncode
-    return summary
+    out = []
+    with open(path + ".out", encoding="utf-8") as f:
+        for raw in f:
+            _, due, sent, recv, reply = raw.rstrip("\n").split("\t", 4)
+            out.append((int(due), int(sent), int(recv), reply))
+    return summarize(out, offered_rps)
 
 
 def point_is_good(s: dict) -> bool:
     """The server kept up with this offered load."""
-    return (s["loadgen_rc"] == 0
-            and s["errors"] == 0
+    return (s["errors"] == 0
             and s["overloaded"] == 0
             and s["sent"] > 0
             and s["completed"] == s["sent"]
             and s["achieved_rps"] >= 0.95 * s["offered_rps"])
+
+
+def warm_up(loadgen: str, port: int, path: str, trace_len: int) -> bool:
+    """WARM_REQUESTS closed-loop requests uniform over the key pool on 4
+    connections, so every key is cached before it is measured; True when
+    every request came back ok. Closed loop self-limits while cold."""
+    rows = build_schedule(WARM_REQUESTS, 1.0, 4, 0.0, trace_len)
+    s = run_loadgen(loadgen, port, rows, path, 120.0, closed=True)
+    if s is None or s["ok"] != s["sent"]:
+        log(f"warm-up failed: {s}")
+        return False
+    log(f"warm: {s['completed']} requests, p50 {s['p50_ms']:.3f} ms")
+    return True
+
+
+def open_pass(args: argparse.Namespace, port: int, path: str, rate: float,
+              duration: float) -> dict | None:
+    """One open-loop pass: ``rate`` requests/second for ``duration`` s."""
+    rows = build_schedule(rate, duration, args.connections, HOT_FRAC,
+                          args.trace_len)
+    return run_loadgen(args.loadgen, port, rows, path, 60.0 + duration * 4,
+                       offered_rps=rate)
 
 
 def read_port(port_file: str, timeout_s: float = 15.0) -> int | None:
@@ -189,25 +287,16 @@ def attribution_pass(args: argparse.Namespace, tmp: str, knee_rps: float,
         if port is None:
             log("attribution: traced server never published a port")
             return None
-        warm = run_loadgen(args.loadgen, port_file,
-                           ["--mode", "closed", "--connections", "4",
-                            "--duration", str(max(2.0, duration)),
-                            "--trace-len", str(args.trace_len),
-                            "--hot-frac", "0"],
-                           timeout_s=120.0)
-        if warm is None or warm["loadgen_rc"] != 0 or warm["errors"] != 0:
+        if not warm_up(args.loadgen, port, os.path.join(tmp, "traced_warm"),
+                       args.trace_len):
             log("attribution: warm-up on the traced server failed")
             return None
         # Zero the counters so the snapshot attributes the knee-rate pass
         # alone, not the warm-up.
         if send_op(port, '{"op":"metrics_reset"}') is None:
             return None
-        traced = run_loadgen(args.loadgen, port_file,
-                             ["--mode", "open", "--rate", str(knee_rps),
-                              "--connections", str(args.connections),
-                              "--duration", str(duration),
-                              "--trace-len", str(args.trace_len)],
-                             timeout_s=60.0 + duration * 4)
+        traced = open_pass(args, port, os.path.join(tmp, "traced"), knee_rps,
+                           duration)
         if traced is None or traced["completed"] == 0:
             log("attribution: traced load pass failed")
             return None
@@ -248,7 +337,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=DEFAULT_OUT)
     parser.add_argument("--ramp", default="build/tools/ramp")
-    parser.add_argument("--loadgen", default="build/tools/ramp_loadgen")
+    parser.add_argument("--loadgen", default="build/tools/perfbench_native")
     parser.add_argument("--duration", type=float, default=4.0,
                         help="seconds per open-loop sweep point")
     parser.add_argument("--start-rate", type=float, default=500.0)
@@ -282,41 +371,32 @@ def main() -> int:
     server = subprocess.Popen(server_cmd, stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True)
     try:
-        # Warm every key in the loadgen's default app x node pool so the
-        # sweep measures the serving stack on cache hits, not first-touch
-        # physics. Closed loop: self-limits while the cache is cold.
-        warm = run_loadgen(args.loadgen, port_file,
-                           ["--mode", "closed", "--connections", "4",
-                            "--duration", str(max(2.0, duration)),
-                            "--trace-len", str(args.trace_len),
-                            "--hot-frac", "0"],
-                           timeout_s=120.0)
-        if warm is None or warm["loadgen_rc"] != 0 or warm["errors"] != 0:
-            log(f"FAIL: warm-up pass failed: {warm}")
+        port = read_port(port_file)
+        if port is None:
+            log("FAIL: server never published a port")
             return 1
-        log(f"warm: {warm['completed']} requests, "
-            f"p50 {warm['p50_ms']:.3f} ms")
+        # Warm every key in the pool so the sweep measures the serving
+        # stack on cache hits, not first-touch physics.
+        if not warm_up(args.loadgen, port, os.path.join(tmp, "warm"),
+                       args.trace_len):
+            log("FAIL: warm-up pass failed")
+            return 1
 
         # Warm closed-loop RTT at single occupancy: the floor latency a
         # client sees when the server is idle.
-        rtt = run_loadgen(args.loadgen, port_file,
-                          ["--mode", "closed", "--connections", "1",
-                           "--duration", str(duration),
-                           "--trace-len", str(args.trace_len)],
-                          timeout_s=60.0 + duration)
-        if rtt is None or rtt["loadgen_rc"] != 0 or rtt["errors"] != 0:
+        rtt = run_loadgen(args.loadgen, port,
+                          build_schedule(RTT_REQUESTS, 1.0, 1, HOT_FRAC,
+                                         args.trace_len),
+                          os.path.join(tmp, "rtt"), 120.0, closed=True)
+        if rtt is None or rtt["ok"] != rtt["sent"]:
             log(f"FAIL: closed-loop RTT pass failed: {rtt}")
             return 1
         log(f"closed-loop RTT: p50 {rtt['p50_ms']:.3f} ms "
             f"({rtt['achieved_rps']:.0f} rps at 1 in flight)")
 
         def sweep_point(rate: float) -> dict | None:
-            s = run_loadgen(args.loadgen, port_file,
-                            ["--mode", "open", "--rate", str(rate),
-                             "--connections", str(args.connections),
-                             "--duration", str(duration),
-                             "--trace-len", str(args.trace_len)],
-                            timeout_s=60.0 + duration * 4)
+            s = open_pass(args, port, os.path.join(tmp, f"point_{rate:.0f}"),
+                          rate, duration)
             if s is None:
                 return None
             verdict = "ok" if point_is_good(s) else "saturated"
@@ -389,30 +469,16 @@ def main() -> int:
             "commit": git_commit(),
             "attribution": attribution,
             "benchmarks": [
-                {
-                    "op": "serve_knee_request",
-                    "ns_per_iter": 1e9 / knee_rps,
-                    "iterations": int(knee["completed"]),
-                    "items_per_second": knee_rps,
-                },
-                {
-                    "op": "serve_half_knee_p50_latency",
-                    "ns_per_iter": half["p50_ms"] * 1e6,
-                    "iterations": int(half["completed"]),
-                    "items_per_second": 1e3 / half["p50_ms"],
-                },
-                {
-                    "op": "serve_half_knee_p99_latency",
-                    "ns_per_iter": half["p99_ms"] * 1e6,
-                    "iterations": int(half["completed"]),
-                    "items_per_second": 1e3 / half["p99_ms"],
-                },
-                {
-                    "op": "serve_closed_loop_rtt",
-                    "ns_per_iter": rtt["p50_ms"] * 1e6,
-                    "iterations": int(rtt["completed"]),
-                    "items_per_second": 1e3 / rtt["p50_ms"],
-                },
+                {"op": op, "ns_per_iter": ns, "iterations": int(n),
+                 "items_per_second": 1e9 / ns}
+                for op, ns, n in (
+                    ("serve_knee_request", 1e9 / knee_rps, knee["completed"]),
+                    ("serve_half_knee_p50_latency", half["p50_ms"] * 1e6,
+                     half["completed"]),
+                    ("serve_half_knee_p99_latency", half["p99_ms"] * 1e6,
+                     half["completed"]),
+                    ("serve_closed_loop_rtt", rtt["p50_ms"] * 1e6,
+                     rtt["completed"]))
             ],
         }
         out_dir = os.path.dirname(args.out)
@@ -425,15 +491,9 @@ def main() -> int:
     finally:
         # SIGTERM must drain gracefully: finish in-flight work, flush,
         # exit 0. An unclean exit fails the bench.
-        if server.poll() is None:
-            server.send_signal(signal.SIGTERM)
-        try:
-            rc = server.wait(timeout=30.0)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            log("FAIL: server did not drain within 30s of SIGTERM")
-            return 1
+        rc = drain_server(server, "server")
         stderr_tail = (server.stderr.read() or "").strip()
+        shutil.rmtree(tmp, ignore_errors=True)
     if rc != 0:
         log(f"FAIL: server exited {rc} after SIGTERM (wanted a clean "
             f"drain): {stderr_tail}")

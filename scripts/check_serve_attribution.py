@@ -53,7 +53,8 @@ def main() -> int:
         with open(args.bench, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        raise SystemExit(f"error: cannot read {args.bench}: {e}")
+        print(f"error: cannot read {args.bench}: {e}", file=sys.stderr)
+        return 2
 
     attr = doc.get("attribution")
     if not isinstance(attr, dict):

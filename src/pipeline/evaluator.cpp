@@ -62,11 +62,8 @@ std::string stage_cache_dir(const std::string& out_dir,
 
 sim::SimMode resolved_sim_mode(const EvaluationConfig& cfg) {
   if (cfg.sim_mode != sim::SimMode::kAuto) return cfg.sim_mode;
-  // Sampling only pays off — and only meets its ±2% tolerance contract —
-  // once the trace is long enough for the regression to see dozens of
-  // measurement units past the detailed prefix (see SampledParams).
-  constexpr std::uint64_t kAutoSampledThreshold = 1'000'000;
-  return cfg.trace_instructions >= kAutoSampledThreshold
+  // Sampling only pays off once it meets its tolerance contract.
+  return cfg.trace_instructions >= kSampledContractInstructions
              ? sim::SimMode::kSampled
              : sim::SimMode::kDetailed;
 }

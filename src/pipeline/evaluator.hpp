@@ -119,9 +119,14 @@ std::string stage_cache_dir(const std::string& out_dir,
                             const std::optional<std::string>& flag,
                             bool persist_by_default);
 
+/// The trace length from which the sampled estimator meets its ±2% IPC
+/// tolerance contract: below it the regression sees too few measurement
+/// units past the detailed prefix (see SampledParams).
+inline constexpr std::uint64_t kSampledContractInstructions = 1'000'000;
+
 /// The concrete mode `auto` resolves to for this config: detailed below
-/// 1M trace instructions (where sampling neither pays off nor meets its
-/// ±2% tolerance contract), sampled from 1M up. Non-auto modes resolve
+/// kSampledContractInstructions (where sampling neither pays off nor meets
+/// its ±2% tolerance contract), sampled from there up. Non-auto modes resolve
 /// to themselves; `auto` never resolves to interval. Resolution happens
 /// *before* hashing/keying, so an auto config with a long trace caches
 /// under the sampled key.

@@ -610,36 +610,94 @@ exit $?
 }
 
 TEST(CliTest, LoadgenDrivesTcpServeEndToEnd) {
-  // The benchmark harness path: serve --listen + ramp_loadgen closed loop.
-  // Zero errors, everything sent gets answered, and SIGTERM drains to 0.
+  // The benchmark harness path: serve --listen + the repository's load
+  // client (`perfbench_native loadgen --closed`) over 4 connections. Every
+  // request is answered ok, none is shed, and SIGTERM drains to 0.
+  const fs::path dir = fs::temp_directory_path() / "ramp_cli_loadgen";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // Schedule rows: due_us <TAB> connection <TAB> request.
+  constexpr int kRequests = 200;
+  const char* apps[] = {"gcc", "gzip", "twolf", "crafty"};
+  const char* nodes[] = {"180", "90"};
+  {
+    std::ofstream sched(dir / "sched");
+    for (int i = 0; i < kRequests; ++i) {
+      sched << "0\t" << i % 4 << "\t{\"op\":\"eval\",\"app\":\""
+            << apps[i % 4] << "\",\"node\":\"" << nodes[(i / 4) % 2]
+            << "\",\"trace_len\":2000,\"id\":" << i << "}\n";
+    }
+  }
   const std::string script = R"SH(
 set -u
 ramp=$1; loadgen=$2; dir=$3
 "$ramp" serve --listen 127.0.0.1:0 --port-file "$dir/port" --trace-len 2000 \
   --out-dir "$dir/out" > /dev/null 2>&1 &
 pid=$!
-"$loadgen" --port-file "$dir/port" --mode closed --connections 4 \
-  --duration 2 --trace-len 2000 > "$dir/loadgen.json" || exit 5
+for i in $(seq 1 100); do [ -s "$dir/port" ] && break; sleep 0.1; done
+"$loadgen" loadgen --port "$(cat "$dir/port")" --schedule "$dir/sched" \
+  --out "$dir/rows" --closed > /dev/null || { kill -TERM "$pid"; exit 5; }
 kill -TERM "$pid"
 wait "$pid"
 exit $?
 )SH";
-  const fs::path dir = fs::temp_directory_path() / "ramp_cli_loadgen";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
   ASSERT_EQ(run_bash(script,
-                     {RAMP_CLI_PATH, RAMP_LOADGEN_PATH, dir.string()}),
+                     {RAMP_CLI_PATH, RAMP_PERFBENCH_NATIVE_PATH, dir.string()}),
             0);
 
-  std::stringstream body;
-  body << std::ifstream(dir / "loadgen.json").rdbuf();
-  const serve::Json summary = serve::Json::parse(body.str());
-  EXPECT_GT(summary.find("sent")->as_number(), 0.0);
-  EXPECT_DOUBLE_EQ(summary.find("completed")->as_number(),
-                   summary.find("sent")->as_number());
-  EXPECT_DOUBLE_EQ(summary.find("errors")->as_number(), 0.0);
-  EXPECT_DOUBLE_EQ(summary.find("overloaded")->as_number(), 0.0);
-  EXPECT_GT(summary.find("p99_ms")->as_number(), 0.0);
+  // Out rows: index, due, sent and received ns, then the reply line.
+  std::ifstream rows(dir / "rows");
+  int answered = 0;
+  for (std::string row; std::getline(rows, row); ++answered) {
+    std::istringstream fields(row);
+    long long index = 0, due = 0, sent = 0, recv = 0;
+    fields >> index >> due >> sent >> recv;
+    EXPECT_GE(recv, sent) << row;
+    std::string reply;
+    std::getline(fields >> std::ws, reply);
+    const serve::Json r = serve::Json::parse(reply);
+    EXPECT_TRUE(r.find("ok")->as_bool()) << row;
+    EXPECT_EQ(r.find("overloaded"), nullptr) << row;
+  }
+  EXPECT_EQ(answered, kRequests);
+  fs::remove_all(dir);
+}
+
+TEST(CliTest, SampledBelowContractLengthWarnsOnStderrOnly) {
+  // An explicit sampled mode (flag or environment) on a trace shorter than
+  // its tolerance contract runs, with one warning line on stderr and the
+  // same stdout as a run whose stderr is discarded.
+  const fs::path dir = fs::temp_directory_path() / "ramp_cli_sampled_warn";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string script = R"SH(
+set -u
+ramp=$1; dir=$2
+cd "$dir"
+export RAMP_OUT_DIR="$dir" RAMP_STAGE_CACHE=off
+"$ramp" evaluate gcc 90 --trace-len 5000 --sim-mode sampled \
+  > flag.out 2> flag.err || exit 5
+RAMP_SIM_MODE=sampled "$ramp" evaluate gcc 90 --trace-len 5000 \
+  > env.out 2> env.err || exit 6
+"$ramp" evaluate gcc 90 --trace-len 5000 > /dev/null 2> detailed.err || exit 7
+)SH";
+  ASSERT_EQ(run_bash(script, {RAMP_CLI_PATH, dir.string()}), 0);
+  const auto slurp = [&dir](const char* name) {
+    std::stringstream body;
+    body << std::ifstream(dir / name).rdbuf();
+    return body.str();
+  };
+  const std::string warning =
+      "warning: sampled sim mode at 5000 instructions is below the 1000000 "
+      "where its +/-2% IPC contract holds\n";
+  EXPECT_EQ(slurp("flag.err"), warning);
+  EXPECT_EQ(slurp("env.err"), warning);
+  EXPECT_EQ(slurp("detailed.err").find("warning"), std::string::npos);
+  const std::string plain =
+      run_cli("evaluate gcc 90 --trace-len 5000 --sim-mode sampled").output;
+  ASSERT_FALSE(plain.empty());
+  EXPECT_EQ(slurp("flag.out"), plain);
+  EXPECT_EQ(slurp("env.out"), plain);
   fs::remove_all(dir);
 }
 

@@ -97,11 +97,23 @@ double flag_double(std::vector<std::string>& args, const std::string& flag,
   return v;
 }
 
-// --sim-mode detailed|sampled|auto (strict parse; throws on junk).
+// --sim-mode detailed|sampled|auto (strict parse; throws on junk). Call it
+// after --trace-len: an explicit sampled mode (flag or RAMP_SIM_MODE) on a
+// trace too short for the estimator's tolerance contract still runs, but
+// says so on stderr.
 void flag_sim_mode(std::vector<std::string>& args,
                    pipeline::EvaluationConfig& cfg) {
   if (const std::string m = flag_str(args, "--sim-mode", ""); !m.empty()) {
     cfg.sim_mode = sim::parse_sim_mode(m);
+  }
+  if (cfg.sim_mode == sim::SimMode::kSampled &&
+      cfg.trace_instructions < pipeline::kSampledContractInstructions) {
+    std::fprintf(stderr,
+                 "warning: sampled sim mode at %llu instructions is below "
+                 "the %llu where its +/-2%% IPC contract holds\n",
+                 static_cast<unsigned long long>(cfg.trace_instructions),
+                 static_cast<unsigned long long>(
+                     pipeline::kSampledContractInstructions));
   }
 }
 
