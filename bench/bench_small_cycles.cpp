@@ -1,81 +1,61 @@
 // Extension bench: do small thermal cycles matter? (paper §2 leaves them
 // unmodeled for lack of validated models.)
 //
-// Runs the transient pipeline for representative workloads, rainflow-counts
-// the per-block temperature traces, and reports the Coffin-Manson damage of
-// the small (application-induced) cycles in units of equivalent large
-// power-off cycles. The punchline matches the engineering folklore the
-// paper leaned on: at q = 2.35, micro-cycles of tenths of a Kelvin are
-// orders of magnitude below one daily power cycle.
-#include <cmath>
+// Evaluates representative workloads at 65 nm through the pipeline with the
+// flight-recorder timeline keeping every interval (holding each app's 180 nm
+// heat-sink temperature, the paper's scaling rule), rainflow-counts the FXU
+// temperature column, and reports the Coffin-Manson damage of the small
+// (application-induced) cycles in units of equivalent large power-off
+// cycles. The punchline matches the engineering folklore the paper leaned
+// on: at q = 2.35, millikelvin micro-cycles are orders of magnitude below
+// one daily power cycle.
+#include <algorithm>
+#include <cstdio>
+#include <limits>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/rainflow.hpp"
-#include "power/power_model.hpp"
-#include "sim/ooo_core.hpp"
-#include "thermal/rc_model.hpp"
-#include "trace/synthetic_generator.hpp"
+#include "util/error.hpp"
 
 int main() {
   using namespace ramp;
   bench::print_header("Small-cycle ablation",
                       "rainflow-counted application thermal cycles");
 
-  const pipeline::EvaluationConfig cfg = bench::default_config();
+  pipeline::EvaluationConfig cfg = bench::default_config();
+  // The point budget is a bound, not an allocation: an unbounded one keeps
+  // every interval (stride 1). Recording never changes results.
+  cfg.timeline_enabled = true;
+  cfg.timeline_points = std::numeric_limits<std::uint64_t>::max();
   const pipeline::Evaluator evaluator(cfg);
 
   TextTable table("Small-cycle damage per second of execution, 65 nm (1.0V)");
-  table.set_header({"app", "cycles/s", "median dT (K)", "max dT (K)",
+  table.set_header({"app", "cycles/s", "median dT (mK)", "max dT (mK)",
                     "damage vs one large cycle/s", "large cycles/day equiv"});
+  const auto sci = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2e", v);
+    return std::string(buf);
+  };
 
   for (const std::string app : {"crafty", "gcc", "ammp", "mgrid"}) {
     const auto& w = workloads::workload(app);
     const auto base = evaluator.evaluate(w, scaling::TechPoint::k180nm);
-    const auto& tech = scaling::node(scaling::TechPoint::k65nm_1V0);
-
-    // Rebuild the transient pipeline to capture the per-interval hottest
-    // block temperature trace.
-    const sim::CoreConfig core_cfg = sim::core_config_for(tech);
-    trace::SyntheticTrace stream(w.profile, cfg.trace_instructions,
-                                 cfg.seed ^ 0x5eed);
-    sim::OooCore core(core_cfg);
-    const auto sim_result = core.run(
-        stream, static_cast<std::uint64_t>(
-                    std::llround(core_cfg.frequency_hz * cfg.interval_seconds)));
-
-    const power::PowerModel pm(cfg.power, tech);
-    const thermal::Floorplan fp =
-        thermal::power4_floorplan().scaled(std::sqrt(tech.relative_area));
-    thermal::RcNetwork net(fp, cfg.thermal);
-    const std::size_t hot_block = fp.index_of("FXU");
-
-    std::vector<double> avg_p(fp.size(), 0.0);
-    {
-      const auto dyn = pm.dynamic_power(sim_result.totals.avg_activity);
-      for (int s = 0; s < sim::kNumStructures; ++s) {
-        const auto blk = fp.index_of(std::string(
-            sim::structure_name(static_cast<sim::StructureId>(s))));
-        avg_p[blk] += dyn[static_cast<std::size_t>(s)] * w.power_bias + 1.0;
-      }
-    }
-    thermal::Transient tr(net, net.steady_state(avg_p), cfg.interval_seconds);
-
+    const auto scaled = evaluator.evaluate(w, scaling::TechPoint::k65nm_1V0,
+                                           base.sink_temp_k);
+    const obs::CellTimeline& timeline = scaled.timeline;
+    RAMP_REQUIRE(timeline.stride == 1 && !timeline.points.empty(),
+                 "the timeline must keep every interval");
+    const auto fxu = static_cast<std::size_t>(
+        std::find(timeline.temp_names.begin(), timeline.temp_names.end(),
+                  "FXU") -
+        timeline.temp_names.begin());
+    RAMP_REQUIRE(fxu < timeline.temp_names.size(), "no FXU temperature column");
     std::vector<double> trace_temps;
-    double elapsed = 0.0;
-    for (const auto& iv : sim_result.intervals) {
-      auto dyn = pm.dynamic_power(iv.activity);
-      std::vector<double> bp(fp.size(), 0.0);
-      for (int s = 0; s < sim::kNumStructures; ++s) {
-        const auto blk = fp.index_of(std::string(
-            sim::structure_name(static_cast<sim::StructureId>(s))));
-        bp[blk] += dyn[static_cast<std::size_t>(s)] * w.power_bias +
-                   pm.leakage_power(static_cast<sim::StructureId>(s),
-                                    tr.temperatures()[blk]);
-      }
-      tr.step(bp);
-      trace_temps.push_back(tr.temperatures()[hot_block]);
-      elapsed += static_cast<double>(iv.cycles) / core_cfg.frequency_hz;
-    }
+    trace_temps.reserve(timeline.points.size());
+    for (const auto& p : timeline.points) trace_temps.push_back(p.temp_k[fxu]);
+    const double elapsed = timeline.points.back().time_s;
 
     // Large reference cycle: average die temp over ambient (eq. 4 inputs).
     const double ref_range = base.avg_die_temp_k - 300.0;
@@ -94,18 +74,18 @@ int main() {
         ranges.empty() ? 0.0 : ranges[ranges.size() / 2];
 
     const double per_s = elapsed > 0 ? damage.total_damage() / elapsed : 0.0;
-    table.add_row(
-        {app, fmt(damage.cycles_counted() / elapsed, 0), fmt(median, 3),
-         fmt(max_r, 3), fmt(per_s, 6),
-         fmt(per_s * 86400.0, 3)});
+    table.add_row({app, fmt(damage.cycles_counted() / elapsed, 0),
+                   fmt(median * 1e3, 3), fmt(max_r * 1e3, 3), sci(per_s),
+                   fmt(per_s * 86400.0, 3)});
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(
-      "Reading: each sub-Kelvin application cycle is ~1e-8 of a large cycle\n"
-      "(the q = 2.35 power law crushes small ranges), so per-cycle the\n"
-      "paper's omission is safe; only integrated over a full day do the\n"
-      "thousands of micro-cycles per second reach the same order as the\n"
-      "single daily power-off cycle — the boundary the later literature\n"
-      "explored when it revisited small-cycle fatigue.\n");
+      "Reading: the transient starts at its steady-state operating point, so\n"
+      "the cycles left are the application's own: millikelvin swings, each\n"
+      "1e-11..1e-10 of a large cycle (the q = 2.35 power law crushes small\n"
+      "ranges). Even tens of thousands of them per second, integrated over a\n"
+      "full day, stay below the single daily power-off cycle, so the paper's\n"
+      "omission is safe at 1 us, per-block resolution; finer-grained hot\n"
+      "spots are where the later small-cycle fatigue literature looked.\n");
   return 0;
 }

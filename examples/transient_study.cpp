@@ -4,15 +4,17 @@
 // answer: what does the FIT stream look like *during* execution when the
 // program alternates kernels? This example composes an integer phase and an
 // FP phase into one PhasedTrace, evaluates it through the full pipeline
-// with interval recording on, dumps the transient time-series to CSV, and
-// compares the phased run's time-averaged FIT against the two stationary
-// phases — demonstrating both the evaluate_stream() API (any TraceReader,
-// including file replays) and the recorded IntervalSample trace.
+// with the flight-recorder timeline keeping every interval, dumps the
+// transient time-series to CSV, and compares the phased run's time-averaged
+// FIT against the two stationary phases — demonstrating both the
+// evaluate_stream() API (any TraceReader, including file replays) and the
+// per-interval timeline.
 //
 // Usage: transient_study [instructions]
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "core/qualification.hpp"
@@ -47,7 +49,10 @@ int main(int argc, char** argv) {
 
   pipeline::EvaluationConfig cfg;
   cfg.trace_instructions = n;
-  cfg.record_intervals = true;
+  cfg.timeline_enabled = true;
+  // The point budget is a bound, not an allocation: an unbounded one keeps
+  // every interval (stride 1).
+  cfg.timeline_points = std::numeric_limits<std::uint64_t>::max();
   const pipeline::Evaluator evaluator(cfg);
 
   auto eval_profile = [&](const trace::GeneratorProfile& p,
@@ -78,24 +83,35 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.str().c_str());
 
+  // Qualified instantaneous FIT of one timeline point: sum_m fit_inst[m]*k_m.
+  auto qualified_inst = [&](const obs::TimelinePoint& p) {
+    double total = 0.0;
+    for (int m = 0; m < core::kNumMechanisms; ++m) {
+      total += p.fit_inst[static_cast<std::size_t>(m)] *
+               k.get(static_cast<core::Mechanism>(m));
+    }
+    return total;
+  };
+
   // Transient CSV for plotting.
+  const std::vector<obs::TimelinePoint>& points = mixed.timeline.points;
   const std::string csv_path = "transient_study.csv";
   {
     std::ofstream csv(csv_path);
     csv << "time_us,hottest_K,power_W,ipc,fit\n";
-    for (const auto& s : mixed.interval_trace) {
-      csv << s.time_s * 1e6 << ',' << s.hottest_temp_k << ','
-          << s.total_power_w << ',' << s.ipc << ',' << s.qualified_total(k)
+    for (const auto& p : points) {
+      csv << p.time_s * 1e6 << ',' << p.hottest_temp_k() << ','
+          << p.total_power_w() << ',' << p.ipc << ',' << qualified_inst(p)
           << '\n';
     }
   }
-  std::printf("transient trace (%zu samples) written to %s\n",
-              mixed.interval_trace.size(), csv_path.c_str());
+  std::printf("transient trace (%zu samples) written to %s\n", points.size(),
+              csv_path.c_str());
 
   // Quantify the swing the phases induce.
   double min_fit = 1e300, max_fit = 0;
-  for (const auto& s : mixed.interval_trace) {
-    const double f = s.qualified_total(k);
+  for (const auto& p : points) {
+    const double f = qualified_inst(p);
     min_fit = std::min(min_fit, f);
     max_fit = std::max(max_fit, f);
   }

@@ -49,9 +49,16 @@ import json
 import math
 import statistics
 import sys
+from typing import NoReturn
 
 DEFAULT_BASELINE = "bench/baselines/BENCH_micro.json"
 SCHEMA = "ramp-bench-micro/1"
+
+
+def fail(message: str) -> NoReturn:
+    """Reports a usage or I/O error and exits 2, keeping 1 for regressions."""
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(2)
 
 
 def load(path: str) -> dict[str, float]:
@@ -59,11 +66,10 @@ def load(path: str) -> dict[str, float]:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        raise SystemExit(f"error: cannot read {path}: {e}")
+        fail(f"cannot read {path}: {e}")
     if doc.get("schema") != SCHEMA:
-        raise SystemExit(
-            f"error: {path}: expected schema {SCHEMA!r}, "
-            f"got {doc.get('schema')!r}")
+        fail(f"{path}: expected schema {SCHEMA!r}, "
+             f"got {doc.get('schema')!r}")
     out: dict[str, float] = {}
     for bench in doc.get("benchmarks", []):
         op = bench.get("op")
@@ -71,7 +77,7 @@ def load(path: str) -> dict[str, float]:
         if op and ns is not None and float(ns) > 0.0:
             out[str(op)] = float(ns)
     if not out:
-        raise SystemExit(f"error: {path}: no benchmarks")
+        fail(f"{path}: no benchmarks")
     return out
 
 
@@ -103,20 +109,19 @@ def main() -> int:
                              "than FAST_OP in the current run (repeatable)")
     args = parser.parse_args()
     if args.threshold <= 0.0:
-        raise SystemExit("error: --threshold must be positive")
+        fail("--threshold must be positive")
 
     ratio_gates = []
     for spec in args.ratio:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise SystemExit(f"error: --ratio {spec!r}: expected "
-                             f"FAST_OP:SLOW_OP:MIN")
+            fail(f"--ratio {spec!r}: expected FAST_OP:SLOW_OP:MIN")
         try:
             minimum = float(parts[2])
         except ValueError:
-            raise SystemExit(f"error: --ratio {spec!r}: MIN must be a number")
+            fail(f"--ratio {spec!r}: MIN must be a number")
         if minimum <= 0.0:
-            raise SystemExit(f"error: --ratio {spec!r}: MIN must be positive")
+            fail(f"--ratio {spec!r}: MIN must be positive")
         ratio_gates.append((parts[0], parts[1], minimum))
 
     current = median_rounds(args.current)
@@ -126,7 +131,7 @@ def main() -> int:
 
     shared = sorted(set(current) & set(baseline))
     if not shared:
-        raise SystemExit("error: no ops shared between current and baseline")
+        fail("no ops shared between current and baseline")
     for op in sorted(set(current) - set(baseline)):
         print(f"note: {op}: no baseline entry (refresh the baseline to "
               f"track it)")
@@ -143,8 +148,7 @@ def main() -> int:
         print(f"note: {op}: below {MIN_NS:.0f} ns (timer resolution), "
               f"not gated")
     if not gated:
-        raise SystemExit("error: no gateable ops (all below timer "
-                         "resolution)")
+        fail("no gateable ops (all below timer resolution)")
 
     ratios = {op: current[op] / baseline[op] for op in gated}
     if args.absolute:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Self-test of check_bench_regression.py's round handling:
+"""Self-test of check_bench_regression.py's round handling and exit status:
 
     python3 scripts/test_check_bench_regression.py
 """
@@ -67,6 +67,41 @@ class RoundsTest(unittest.TestCase):
         result = self.check(rounds, "--ratio", "BM_Fast:BM_Slow:5")
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("10.00x", result.stdout)
+
+
+class ExitStatusTest(unittest.TestCase):
+    """1 means a regression; 2 means the check could not run at all."""
+
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.baseline = write_round(self.tmp.name, "baseline.json",
+                                    {"BM_Fast": 100.0})
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def run_check(self, current):
+        return subprocess.run(
+            [sys.executable, SCRIPT, current, "--baseline", self.baseline,
+             "--absolute"], capture_output=True, text=True)
+
+    def test_unreadable_file_exits_2(self):
+        missing = os.path.join(self.tmp.name, "missing.json")
+        result = self.run_check(missing)
+        self.assertEqual(result.returncode, 2, result.stderr)
+        self.assertIn("error: cannot read", result.stderr)
+
+    def test_file_with_no_benchmarks_exits_2(self):
+        empty = write_round(self.tmp.name, "empty.json", {})
+        result = self.run_check(empty)
+        self.assertEqual(result.returncode, 2, result.stderr)
+        self.assertIn("no benchmarks", result.stderr)
+
+    def test_regression_exits_1(self):
+        slow = write_round(self.tmp.name, "slow.json", {"BM_Fast": 200.0})
+        result = self.run_check(slow)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("REGRESSION", result.stdout)
 
 
 if __name__ == "__main__":

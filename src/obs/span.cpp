@@ -39,13 +39,6 @@ struct Profiler::ThreadLog {
   std::mutex cell_mutex;
   std::map<std::string, std::array<StageAccum, kNumStages>> cells;
 
-  // Ring of recent spans, packed stage-in-high-bits | nanos-in-low-bits so
-  // one relaxed store publishes a record without tearing.
-  static constexpr std::size_t kRingSize = 64;
-  static constexpr std::uint64_t kNanosMask = (1ULL << 56) - 1;
-  std::array<std::atomic<std::uint64_t>, kRingSize> ring{};
-  std::atomic<std::uint64_t> ring_next{0};
-
   // Stable trace identity, assigned when the log is registered (see
   // ThreadTrace for the tid scheme).
   std::uint64_t tid = 0;
@@ -207,12 +200,6 @@ void Profiler::record(Stage s, double seconds, std::uint64_t spans) {
       static_cast<std::uint64_t>(std::llround(std::max(0.0, seconds) * 1e9));
   log.nanos[i].fetch_add(ns, std::memory_order_relaxed);
   log.spans[i].fetch_add(spans, std::memory_order_relaxed);
-  const std::uint64_t slot =
-      log.ring_next.fetch_add(1, std::memory_order_relaxed) %
-      ThreadLog::kRingSize;
-  log.ring[slot].store((static_cast<std::uint64_t>(i) << 56) |
-                           (ns & ThreadLog::kNanosMask),
-                       std::memory_order_relaxed);
 }
 
 std::array<std::uint64_t, kNumStages> Profiler::thread_stage_nanos() {
@@ -263,16 +250,6 @@ StageProfile Profiler::snapshot() const {
         }
       }
     }
-    const std::uint64_t written = log->ring_next.load(std::memory_order_relaxed);
-    const std::uint64_t n = std::min<std::uint64_t>(written, ThreadLog::kRingSize);
-    for (std::uint64_t k = 0; k < n; ++k) {
-      const std::uint64_t packed = log->ring[k].load(std::memory_order_relaxed);
-      SpanRecord r;
-      r.stage = static_cast<Stage>(packed >> 56);
-      r.seconds =
-          static_cast<double>(packed & ThreadLog::kNanosMask) * 1e-9;
-      profile.recent.push_back(r);
-    }
   }
   return profile;
 }
@@ -290,8 +267,6 @@ void Profiler::reset() {
       const std::lock_guard<std::mutex> cell_lock(log->cell_mutex);
       log->cells.clear();
     }
-    log->ring_next.store(0, std::memory_order_relaxed);
-    for (auto& slot : log->ring) slot.store(0, std::memory_order_relaxed);
     const std::lock_guard<std::mutex> trace_lock(log->trace_mutex);
     log->events.clear();
     log->dropped = 0;

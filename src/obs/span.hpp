@@ -4,11 +4,10 @@
 // A Span times one section of one pipeline stage (trace-gen / sim / power /
 // thermal / FIT / cache / schedule) and records the elapsed wall time when
 // it is stopped or destroyed. Records land in the calling thread's own log —
-// two relaxed atomic adds plus a slot in a small ring buffer of recent
-// spans — so the hot path takes no lock and scales across pool workers.
-// Profiler::snapshot() merges every thread's log into one StageProfile:
-// process totals per stage, per-cell ("app@node") breakdowns, and the most
-// recent raw spans.
+// two relaxed atomic adds — so the hot path takes no lock and scales across
+// pool workers. Profiler::snapshot() merges every thread's log into one
+// StageProfile: process totals per stage and per-cell ("app@node")
+// breakdowns.
 //
 // Hot loops that would otherwise start a span per iteration (the evaluator's
 // per-interval transient loop) accumulate into plain local doubles and
@@ -55,19 +54,10 @@ struct StageAccum {
   std::uint64_t spans = 0;
 };
 
-/// One recent span as drained from a thread's ring buffer (newest data only;
-/// the rings are fixed-size and overwrite).
-struct SpanRecord {
-  Stage stage = Stage::kTotal;
-  double seconds = 0.0;
-};
-
 struct StageProfile {
   std::array<StageAccum, kNumStages> totals{};
   /// Per-cell breakdown, keyed "app@node" (e.g. "gcc@90").
   std::map<std::string, std::array<StageAccum, kNumStages>> cells;
-  /// Recent spans across all threads, unordered between threads.
-  std::vector<SpanRecord> recent;
 
   double seconds(Stage s) const {
     return totals[static_cast<std::size_t>(s)].seconds;

@@ -71,7 +71,6 @@ double TimelinePoint::inst_total_fit() const {
 
 TimelineBuffer::TimelineBuffer(std::size_t capacity) : capacity_(capacity) {
   RAMP_REQUIRE(capacity_ >= 2, "timeline capacity must be at least 2");
-  sampled_.reserve(capacity_);
 }
 
 void TimelineBuffer::push(TimelinePoint p) {
@@ -125,8 +124,8 @@ std::vector<TimelinePoint> TimelineBuffer::recent(std::size_t k) const {
   return out;
 }
 
-Watchdog::Watchdog(std::string cell, WatchdogRules rules, Profiler& profiler)
-    : cell_(std::move(cell)), rules_(rules), profiler_(profiler) {}
+Watchdog::Watchdog(std::string cell, WatchdogRules rules)
+    : cell_(std::move(cell)), rules_(rules) {}
 
 bool Watchdog::already_tripped(const std::string& rule) {
   for (const auto& i : incidents_) {
@@ -152,12 +151,6 @@ void Watchdog::trip(const std::string& rule, const TimelinePoint& p,
   if (rules_.incident_points > 0) {
     inc.points = history.recent(rules_.incident_points - 1);
     inc.points.push_back(p);  // the trigger itself is always captured
-  }
-  if (rules_.incident_spans > 0 && profiler_.enabled()) {
-    std::vector<SpanRecord> recent = profiler_.snapshot().recent;
-    const std::size_t n = std::min(rules_.incident_spans, recent.size());
-    inc.spans.assign(recent.end() - static_cast<std::ptrdiff_t>(n),
-                     recent.end());
   }
   incidents_.push_back(std::move(inc));
 }
@@ -269,12 +262,6 @@ std::string incident_to_json(const Incident& i) {
   for (std::size_t k = 0; k < i.points.size(); ++k) {
     if (k > 0) out << ',';
     append_point_json(out, i.points[k]);
-  }
-  out << "],\"spans\":[";
-  for (std::size_t k = 0; k < i.spans.size(); ++k) {
-    if (k > 0) out << ',';
-    out << "{\"stage\":" << json_quote(std::string(stage_name(i.spans[k].stage)))
-        << ",\"seconds\":" << jnum(i.spans[k].seconds) << '}';
   }
   out << "]}";
   return out.str();

@@ -19,7 +19,7 @@
 // Watchdog checks each point against declarative rules (over-temperature,
 // non-finite values, instantaneous-FIT spike vs the cell's running median)
 // and on first trip per rule captures an Incident: the rule, the offending
-// value, the last K raw timeline points, and the profiler's recent spans.
+// value and the last K raw timeline points.
 // check() never throws, so a tripped cell never aborts sibling sweep cells.
 #pragma once
 
@@ -27,8 +27,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "obs/span.hpp"
 
 namespace ramp::obs {
 
@@ -59,6 +57,7 @@ struct TimelinePoint {
 class TimelineBuffer {
  public:
   /// `capacity` is the maximum number of retained sampled points (>= 2).
+  /// It is a bound, not an allocation: storage grows as points arrive.
   explicit TimelineBuffer(std::size_t capacity);
 
   void push(TimelinePoint p);
@@ -118,7 +117,6 @@ struct WatchdogRules {
   std::size_t spike_min_samples = 16;
   bool check_finite = true;  ///< trip on non-finite temperature/power/FIT
   std::size_t incident_points = 8;  ///< raw points captured per incident
-  std::size_t incident_spans = 8;   ///< recent profiler spans captured
 };
 
 /// A tripped rule's flight-recorder dump.
@@ -131,7 +129,6 @@ struct Incident {
   double threshold = 0.0;  ///< limit it crossed
   std::string detail;      ///< human-readable one-liner
   std::vector<TimelinePoint> points;  ///< last raw points incl. the trigger
-  std::vector<SpanRecord> spans;      ///< recent spans at trip time
 };
 
 /// Per-cell anomaly monitor. Single-threaded (one per evaluation); each rule
@@ -139,8 +136,7 @@ struct Incident {
 /// one sweep cell cannot abort siblings.
 class Watchdog {
  public:
-  Watchdog(std::string cell, WatchdogRules rules,
-           Profiler& profiler = Profiler::global());
+  Watchdog(std::string cell, WatchdogRules rules);
 
   /// Checks `p` against the rules, using `history` (the buffer *before*
   /// this point is pushed) for the median statistic and the incident dump.
@@ -158,7 +154,6 @@ class Watchdog {
 
   std::string cell_;
   WatchdogRules rules_;
-  Profiler& profiler_;
   std::vector<Incident> incidents_;
   std::uint64_t suppressed_ = 0;
 };

@@ -21,8 +21,9 @@ EvaluationConfig EvaluationConfig::from_env(std::uint64_t trace_len) {
   RAMP_REQUIRE(cfg.trace_instructions > 0,
                "environment variable RAMP_TRACE_LEN must be positive");
   cfg.seed = env_u64("RAMP_SEED", 42);
-  cfg.metrics_enabled = env_on_off("RAMP_METRICS", true);
-  cfg.metrics_path = env_string("RAMP_METRICS_PATH").value_or("");
+  // Obs reads RAMP_METRICS itself; parsing it here makes a misspelled value
+  // fail every front-end up front.
+  env_on_off("RAMP_METRICS", true);
   const auto timeline = env_on_off_or_value("RAMP_TIMELINE");
   cfg.timeline_enabled = timeline.has_value();
   cfg.timeline_dir = timeline.value_or("");
@@ -208,10 +209,9 @@ AppTechResult Evaluator::evaluate_staged(
     return *thermal_out;
   };
 
-  // Fit rows are cached only when they carry no interval trace or timeline
-  // (the payload cannot represent those); recorder runs still reuse every
-  // upstream stage.
-  const bool cache_fit = !cfg_.record_intervals && !cfg_.timeline_enabled;
+  // Fit rows are cached only when they carry no timeline (the payload cannot
+  // represent one); recorder runs still reuse every upstream stage.
+  const bool cache_fit = !cfg_.timeline_enabled;
   AppTechResult r;
   if (cache_fit) {
     r = store_->get_or_compute<AppTechResult>(

@@ -16,7 +16,6 @@
 //     proportionality constants); qualification rescales them (see sweep).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -45,18 +44,10 @@ struct EvaluationConfig {
   double interval_seconds = 1e-6;      ///< RAMP/HotSpot granularity (§4.3/4.4)
   power::PowerModelConfig power{};
   thermal::ThermalConfig thermal{};
-  /// When true, AppTechResult::interval_trace records the per-interval
-  /// transient (time, hottest temp, power, instantaneous FIT).
-  bool record_intervals = false;
-  /// Mirror of the RAMP_METRICS switch (the obs registry/profiler read the
-  /// variable themselves; this copy lets callers branch without re-parsing).
-  /// Excluded from config_hash — metrics never affect results.
-  bool metrics_enabled = true;
-  /// Default destination for a metrics dump (RAMP_METRICS_PATH); empty means
-  /// "stderr when requested". Excluded from config_hash.
-  std::string metrics_path;
   /// Flight recorder: when true, AppTechResult::timeline carries the bounded
-  /// per-interval physics sketch and the watchdog checks every interval.
+  /// per-interval physics sketch and the watchdog checks every interval. It
+  /// is the one per-interval record: with timeline_points at least the
+  /// interval count the stride stays 1 and every interval is kept.
   /// Recording never changes results, so all timeline/watchdog fields are
   /// excluded from config_hash. Defaults keep the PR 3 invariant: disabled
   /// means zero extra clock reads and byte-identical sweep output.
@@ -90,15 +81,15 @@ struct EvaluationConfig {
   /// The single place the environment overrides are read:
   ///   RAMP_TRACE_LEN     instructions per synthetic trace (default `trace_len`)
   ///   RAMP_SEED          base RNG seed (default 42)
-  ///   RAMP_METRICS       strict on/off switch for the obs subsystem
-  ///   RAMP_METRICS_PATH  where `--metrics` dumps land by default
+  ///   RAMP_METRICS       strict on/off switch for the obs subsystem (read
+  ///                      here only to be validated; obs reads it itself)
   ///   RAMP_TIMELINE      off (default) / on / a directory to export into
   ///   RAMP_TIMELINE_POINTS  per-cell point budget (default 512, >= 2)
   ///   RAMP_TRACE_OUT     default Chrome-trace output file
   ///   RAMP_WATCHDOG_TEMP_K  over-temperature trip point (Kelvin)
   ///   RAMP_STAGE_CACHE   stage_cache_dir: unset or on (<RAMP_OUT_DIR>/
   ///                      stage_cache), off (memory-only), or a directory
-  ///   RAMP_SIM_MODE      detailed (default) / sampled / interval / auto
+  ///   RAMP_SIM_MODE      detailed (default) / sampled / auto
   ///   RAMP_SIM_PERIOD    sampled: instructions per sampling period
   ///   RAMP_SIM_WARMUP    sampled: detailed warm-up instructions per unit
   ///   RAMP_SIM_MEASURE   sampled: instructions per measurement window
@@ -127,32 +118,9 @@ inline constexpr std::uint64_t kSampledContractInstructions = 1'000'000;
 /// The concrete mode `auto` resolves to for this config: detailed below
 /// kSampledContractInstructions (where sampling neither pays off nor meets
 /// its ±2% tolerance contract), sampled from there up. Non-auto modes resolve
-/// to themselves; `auto` never resolves to interval. Resolution happens
-/// *before* hashing/keying, so an auto config with a long trace caches
-/// under the sampled key.
+/// to themselves. Resolution happens *before* hashing/keying, so an auto
+/// config with a long trace caches under the sampled key.
 sim::SimMode resolved_sim_mode(const EvaluationConfig& cfg);
-
-/// One recorded transient sample (record_intervals = true).
-struct IntervalSample {
-  double time_s = 0.0;
-  double hottest_temp_k = 0.0;
-  double total_power_w = 0.0;
-  /// Instantaneous per-mechanism FIT with unit proportionality constants;
-  /// apply qualification constants before aggregating across mechanisms
-  /// (raw magnitudes are not comparable between mechanisms).
-  std::array<double, core::kNumMechanisms> raw_mechanism_fit{};
-  double ipc = 0.0;
-
-  /// Qualified instantaneous total under the given constants.
-  double qualified_total(const core::MechanismConstants& k) const {
-    double total = 0.0;
-    for (int m = 0; m < core::kNumMechanisms; ++m) {
-      total += raw_mechanism_fit[static_cast<std::size_t>(m)] *
-               k.get(static_cast<core::Mechanism>(m));
-    }
-    return total;
-  }
-};
 
 /// Everything measured for one (application, technology) pair.
 struct AppTechResult {
@@ -180,9 +148,6 @@ struct AppTechResult {
   core::FitSummary raw_fits;
 
   sim::RunStats run;
-
-  /// Transient time-series (empty unless EvaluationConfig::record_intervals).
-  std::vector<IntervalSample> interval_trace;
 
   /// Flight-recorder sketch (empty unless EvaluationConfig::timeline_enabled).
   /// The final point's fit_avg equals raw_fits.by_mechanism() exactly.

@@ -420,8 +420,6 @@ AppTechResult run_fit_stage(const EvaluationConfig& cfg,
 
   RunningMean dyn_power_avg;
   RunningMean leak_power_avg;
-  std::vector<IntervalSample> samples;
-  if (cfg.record_intervals) samples.reserve(n);
   double elapsed_s = 0.0;
 
   // Flight recorder: bounded per-interval physics sketch plus the anomaly
@@ -433,13 +431,8 @@ AppTechResult run_fit_stage(const EvaluationConfig& cfg,
   if (cfg.timeline_enabled) {
     timeline = std::make_unique<obs::TimelineBuffer>(
         static_cast<std::size_t>(cfg.timeline_points));
-    watchdog = std::make_unique<obs::Watchdog>(cell, cfg.watchdog, prof);
+    watchdog = std::make_unique<obs::Watchdog>(cell, cfg.watchdog);
   }
-  std::uint64_t interval_index = 0;
-
-  // Whether each interval's *instantaneous* FIT is needed; computed once and
-  // shared by the interval trace and the timeline.
-  const bool want_instant = cfg.record_intervals || timeline != nullptr;
 
   const auto loop_start = profile ? Clock::now() : Clock::time_point{};
   for (std::size_t i = 0; i < n; ++i) {
@@ -456,30 +449,14 @@ AppTechResult run_fit_stage(const EvaluationConfig& cfg,
     tracker.add_interval(struct_temps, iv.activity, tech.vdd, duration);
     elapsed_s += duration;
 
-    // Instantaneous per-mechanism raw FIT at this interval's conditions,
-    // computed once for both consumers below.
-    std::array<double, core::kNumMechanisms> inst_mech{};
-    if (want_instant) {
+    if (timeline) {
+      // Instantaneous per-mechanism raw FIT at this interval's conditions.
       core::FitTracker instant(model);
       instant.add_interval(struct_temps, iv.activity, tech.vdd, duration);
-      inst_mech = instant.summary().by_mechanism();
-    }
+      const auto inst_mech = instant.summary().by_mechanism();
 
-    if (cfg.record_intervals) {
-      IntervalSample sample;
-      sample.time_s = elapsed_s;
-      for (double t : struct_temps) {
-        sample.hottest_temp_k = std::max(sample.hottest_temp_k, t);
-      }
-      sample.total_power_w = block_total;
-      sample.ipc = iv.ipc();
-      sample.raw_mechanism_fit = inst_mech;
-      samples.push_back(sample);
-    }
-
-    if (timeline) {
       obs::TimelinePoint point;
-      point.interval = interval_index;
+      point.interval = i;
       point.time_s = elapsed_s;
       point.ipc = iv.ipc();
       point.dyn_power_w = dyn_total;
@@ -493,7 +470,6 @@ AppTechResult run_fit_stage(const EvaluationConfig& cfg,
       watchdog->check(point, *timeline);
       timeline->push(std::move(point));
     }
-    ++interval_index;
   }
   if (profile) {
     prof.record_cell(
@@ -513,7 +489,6 @@ AppTechResult run_fit_stage(const EvaluationConfig& cfg,
   r.max_activity = tracker.max_activity();
   r.raw_fits = tracker.summary();
   r.run = sim_result.totals;
-  r.interval_trace = std::move(samples);
   if (timeline) {
     r.timeline.cell = cell;
     for (const auto s : sim::kAllStructures) {
@@ -729,9 +704,8 @@ bool decode_payload(const std::string& payload, ThermalStageOut& out) {
 }
 
 std::string encode_payload(const AppTechResult& v) {
-  RAMP_REQUIRE(v.interval_trace.empty() && v.timeline.empty() &&
-                   v.incidents.empty(),
-               "fit-stage payloads cannot carry interval traces or timelines");
+  RAMP_REQUIRE(v.timeline.empty() && v.incidents.empty(),
+               "fit-stage payloads cannot carry timelines");
   int tech_index = -1;
   for (std::size_t i = 0; i < scaling::kAllTechPoints.size(); ++i) {
     if (scaling::kAllTechPoints[i] == v.tech) {

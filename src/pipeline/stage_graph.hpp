@@ -198,7 +198,7 @@ std::string encode_payload(const TraceStageOut& v);
 std::string encode_payload(const SimStageOut& v);
 std::string encode_payload(const PowerStageOut& v);
 std::string encode_payload(const ThermalStageOut& v);
-/// Requires interval_trace and timeline to be empty (not representable).
+/// Requires timeline and incidents to be empty (not representable).
 std::string encode_payload(const AppTechResult& v);
 
 bool decode_payload(const std::string& payload, TraceStageOut& out);

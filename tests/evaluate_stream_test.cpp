@@ -1,4 +1,5 @@
-// Tests for the stream-based evaluation API and transient recording.
+// Tests for the stream-based evaluation API and transient recording (the
+// flight-recorder timeline at full resolution).
 #include <gtest/gtest.h>
 
 #include "pipeline/evaluator.hpp"
@@ -49,48 +50,67 @@ TEST(EvaluateStreamTest, IntervalTraceEmptyByDefault) {
   const Evaluator ev(quick_config());
   const auto r =
       ev.evaluate(workloads::workload("vpr"), scaling::TechPoint::k180nm);
-  EXPECT_TRUE(r.interval_trace.empty());
+  EXPECT_TRUE(r.timeline.empty());
+}
+
+// The flight-recorder timeline is the per-interval record: with a point
+// budget at least the interval count it keeps every interval.
+EvaluationConfig every_interval_config() {
+  EvaluationConfig cfg = quick_config();
+  cfg.timeline_enabled = true;
+  cfg.timeline_points = std::uint64_t{1} << 20;  // a bound, not an allocation
+  return cfg;
 }
 
 TEST(EvaluateStreamTest, IntervalTraceRecordsWhenEnabled) {
-  EvaluationConfig cfg = quick_config();
-  cfg.record_intervals = true;
-  const Evaluator ev(cfg);
+  const Evaluator ev(every_interval_config());
   const auto r =
       ev.evaluate(workloads::workload("vpr"), scaling::TechPoint::k180nm);
-  ASSERT_FALSE(r.interval_trace.empty());
+  const obs::CellTimeline& t = r.timeline;
+  ASSERT_FALSE(t.empty());
+  EXPECT_EQ(t.stride, 1u);
+  ASSERT_EQ(t.points.size(), t.intervals);
   double prev_t = 0.0;
-  for (const auto& s : r.interval_trace) {
-    EXPECT_GT(s.time_s, prev_t);  // strictly increasing timestamps
-    prev_t = s.time_s;
-    EXPECT_GT(s.hottest_temp_k, 318.0);
-    EXPECT_GT(s.total_power_w, 1.0);
-    EXPECT_GE(s.ipc, 0.0);
+  for (std::size_t i = 0; i < t.points.size(); ++i) {
+    const auto& p = t.points[i];
+    EXPECT_EQ(p.interval, i);
+    EXPECT_GT(p.time_s, prev_t);  // strictly increasing timestamps
+    prev_t = p.time_s;
+    EXPECT_GT(p.hottest_temp_k(), 318.0);
+    EXPECT_GT(p.total_power_w(), 1.0);
+    EXPECT_GE(p.ipc, 0.0);
   }
 }
 
 TEST(EvaluateStreamTest, QualifiedSampleAverageTracksRunSummary) {
   // The time-average of the recorded instantaneous qualified FITs must
   // reproduce the run's qualified summary (same averaging, by
-  // construction; this guards the per-sample bookkeeping).
-  EvaluationConfig cfg = quick_config();
-  cfg.record_intervals = true;
-  const Evaluator ev(cfg);
+  // construction; this guards the per-interval bookkeeping).
+  const Evaluator ev(every_interval_config());
   const auto r =
       ev.evaluate(workloads::workload("gap"), scaling::TechPoint::k90nm);
+  ASSERT_EQ(r.timeline.stride, 1u);
+  ASSERT_EQ(r.timeline.points.size(), r.timeline.intervals);
   core::MechanismConstants k;
   k.em = 2.0;
   k.sm = 3.0;
   k.tddb = 5.0;
   k.tc = 7.0;
-  // Time-weighted average of samples (equal interval durations except the
-  // tail, so weight by the time deltas).
+  // Time-weighted average of the points (equal interval durations except
+  // the tail, so weight by the time deltas).
   double weighted = 0.0, total_time = 0.0, prev_t = 0.0;
-  for (const auto& s : r.interval_trace) {
-    const double dt = s.time_s - prev_t;
-    weighted += s.qualified_total(k) * dt;
+  for (const auto& p : r.timeline.points) {
+    ASSERT_EQ(p.fit_inst.size(),
+              static_cast<std::size_t>(core::kNumMechanisms));
+    double qualified = 0.0;
+    for (int m = 0; m < core::kNumMechanisms; ++m) {
+      qualified += p.fit_inst[static_cast<std::size_t>(m)] *
+                   k.get(static_cast<core::Mechanism>(m));
+    }
+    const double dt = p.time_s - prev_t;
+    weighted += qualified * dt;
     total_time += dt;
-    prev_t = s.time_s;
+    prev_t = p.time_s;
   }
   const double expect = scale_summary(r.raw_fits, k).total();
   EXPECT_NEAR(weighted / total_time, expect, expect * 1e-6);
@@ -113,34 +133,6 @@ TEST(EvaluateStreamTest, RejectsNonPositiveBias) {
   EXPECT_THROW(
       ev.evaluate_stream(s, "x", 0.0, scaling::TechPoint::k180nm),
       InvalidArgument);
-}
-
-TEST(EvaluateStreamTest, IntervalTraceAndTimelineShareInstantaneousFit) {
-  // Regression: with both the interval trace and the timeline enabled, the
-  // instantaneous FIT used to be computed twice per interval (identical
-  // inputs, double the cost). It is now computed once and shared — and the
-  // two consumers must agree bit for bit.
-  EvaluationConfig cfg = quick_config();
-  cfg.record_intervals = true;
-  cfg.timeline_enabled = true;
-  cfg.timeline_points = 1u << 20;  // keep every interval (no downsampling)
-  const Evaluator ev(cfg);
-  const auto r =
-      ev.evaluate(workloads::workload("gzip"), scaling::TechPoint::k65nm_1V0);
-  ASSERT_FALSE(r.interval_trace.empty());
-  ASSERT_FALSE(r.timeline.empty());
-  ASSERT_EQ(r.timeline.points.size(), r.interval_trace.size());
-  for (const auto& point : r.timeline.points) {
-    const auto& sample = r.interval_trace.at(
-        static_cast<std::size_t>(point.interval));
-    ASSERT_EQ(point.fit_inst.size(),
-              static_cast<std::size_t>(core::kNumMechanisms));
-    for (int m = 0; m < core::kNumMechanisms; ++m) {
-      const auto mi = static_cast<std::size_t>(m);
-      EXPECT_EQ(point.fit_inst[mi], sample.raw_mechanism_fit[mi])
-          << "interval " << point.interval << " mechanism " << m;
-    }
-  }
 }
 
 }  // namespace

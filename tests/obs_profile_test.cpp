@@ -72,7 +72,6 @@ TEST(ProfilerTest, DisabledProfilerRecordsNothing) {
   const StageProfile profile = prof.snapshot();
   EXPECT_DOUBLE_EQ(profile.seconds(Stage::kSim), 0.0);
   EXPECT_TRUE(profile.cells.empty());
-  EXPECT_TRUE(profile.recent.empty());
 }
 
 TEST(ProfilerTest, ResetZeroesEverything) {
@@ -82,7 +81,6 @@ TEST(ProfilerTest, ResetZeroesEverything) {
   const StageProfile profile = prof.snapshot();
   EXPECT_DOUBLE_EQ(profile.seconds(Stage::kSim), 0.0);
   EXPECT_TRUE(profile.cells.empty());
-  EXPECT_TRUE(profile.recent.empty());
 }
 
 TEST(ProfilerTest, MergesLogsFromExitedThreads) {
@@ -110,8 +108,6 @@ TEST(SpanTest, MeasuresElapsedWallTime) {
   const StageProfile profile = prof.snapshot();
   EXPECT_EQ(profile.totals[static_cast<std::size_t>(Stage::kSim)].spans, 1u);
   EXPECT_NEAR(profile.seconds(Stage::kSim), first, 1e-8);
-  ASSERT_EQ(profile.recent.size(), 1u);
-  EXPECT_EQ(profile.recent[0].stage, Stage::kSim);
 }
 
 TEST(SpanTest, CellSpanLandsInCellBreakdown) {

@@ -133,12 +133,21 @@ TEST(TimelineBufferTest, RejectsCapacityBelowTwo) {
   EXPECT_THROW(TimelineBuffer(1), InvalidArgument);
 }
 
+TEST(TimelineBufferTest, HugeBudgetIsABoundNotAnAllocation) {
+  // A client-supplied budget may be as large as 2^53; storage must grow
+  // with the points actually pushed rather than be reserved up front.
+  TimelineBuffer buf(std::size_t{1} << 53);
+  for (std::uint64_t i = 0; i < 100; ++i) buf.push(pt(i));
+  EXPECT_EQ(buf.capacity(), std::size_t{1} << 53);
+  EXPECT_EQ(buf.stride(), 1u);
+  ASSERT_EQ(buf.points().size(), 100u);
+  EXPECT_EQ(buf.points().back().interval, 99u);
+}
+
 TEST(WatchdogTest, OverTemperatureTripsExactlyOnce) {
-  Profiler prof(/*enabled=*/true);
-  prof.record(Stage::kSim, 0.5);
   WatchdogRules rules;
   rules.max_temp_k = 360.0;
-  Watchdog dog("gcc@90", rules, prof);
+  Watchdog dog("gcc@90", rules);
   TimelineBuffer history(8);
 
   dog.check(pt(0, 350.0), history);
@@ -157,17 +166,13 @@ TEST(WatchdogTest, OverTemperatureTripsExactlyOnce) {
   EXPECT_EQ(inc.interval, 1u);
   EXPECT_DOUBLE_EQ(inc.value, 365.0);
   EXPECT_DOUBLE_EQ(inc.threshold, 360.0);
-  // The dump carries the pre-trip history plus the trigger, and the
-  // profiler's recent spans.
+  // The dump carries the pre-trip history plus the trigger.
   ASSERT_GE(inc.points.size(), 2u);
   EXPECT_EQ(inc.points.back().interval, 1u);
-  ASSERT_GE(inc.spans.size(), 1u);
-  EXPECT_EQ(inc.spans.back().stage, Stage::kSim);
 }
 
 TEST(WatchdogTest, NonFiniteValuesTrip) {
-  Profiler prof(/*enabled=*/false);
-  Watchdog dog("cell", WatchdogRules{}, prof);
+  Watchdog dog("cell", WatchdogRules{});
   TimelineBuffer history(8);
   TimelinePoint p = pt(0);
   p.temp_k[1] = std::nan("");
@@ -177,12 +182,11 @@ TEST(WatchdogTest, NonFiniteValuesTrip) {
 }
 
 TEST(WatchdogTest, FitSpikeArmsAfterMinimumHistory) {
-  Profiler prof(/*enabled=*/false);
   WatchdogRules rules;
   rules.max_temp_k = 0.0;  // isolate the spike rule
   rules.fit_spike_factor = 8.0;
   rules.spike_min_samples = 16;
-  Watchdog dog("cell", rules, prof);
+  Watchdog dog("cell", rules);
   TimelineBuffer history(64);
 
   // A huge early value must NOT trip: the median is not armed yet.
@@ -267,13 +271,11 @@ TEST(IncidentJsonTest, ParsesAndMapsNanToNull) {
   TimelinePoint p = pt(7);
   p.temp_k[0] = std::nan("");
   inc.points = {p};
-  inc.spans = {{Stage::kThermal, 0.125}};
 
   const serve::Json j = serve::Json::parse(incident_to_json(inc));
   EXPECT_EQ(j.find("rule")->as_string("rule"), "non_finite");
   EXPECT_TRUE(j.find("value")->is_null());
   ASSERT_NE(j.find("points"), nullptr);
-  EXPECT_EQ(j.find("spans")->elements().size(), 1u);
 }
 
 TEST(TimelineFileStemTest, MapsSeparatorsToUnderscore) {

@@ -523,6 +523,20 @@ TEST(ServeLoopTest, TimelineOpValidatesLikeEval) {
   EXPECT_FALSE(responses[1].find("ok")->as_bool());  // points < 2
 }
 
+// A client's point budget bounds the export; it must not size an up-front
+// allocation (a budget near the 2^53 field cap once answered bad_alloc).
+TEST(ServeLoopTest, TimelineOpAcceptsAHugePointBudget) {
+  const auto responses = run_serve(
+      "{\"op\":\"timeline\",\"app\":\"gcc\",\"node\":\"180\","
+      "\"points\":9000000000000000}\n"
+      "{\"op\":\"shutdown\"}\n");
+  ASSERT_EQ(responses.size(), 2u);
+  const Json& timeline = responses[0];
+  ASSERT_TRUE(timeline.find("ok")->as_bool()) << timeline.dump();
+  EXPECT_EQ(timeline.find("points")->elements().size(),
+            static_cast<std::size_t>(timeline.find("intervals")->as_number()));
+}
+
 // EvalService books its stats on a private always-on registry, so stats stay
 // contractual even when process-wide metrics are disabled via RAMP_METRICS.
 TEST(EvalServiceTest, StatsSurviveDisabledGlobalRegistry) {

@@ -409,11 +409,6 @@ TEST(StageKeyTest, EveryResultInputReachesTheFitKey) {
   affecting.push_back(profile("block_len", [](auto& p) { p.block_len += 1; }));
 
   const std::vector<Case> neutral = {
-      {"metrics",
-       [](EvaluationConfig& c, workloads::Workload&) {
-         c.metrics_enabled = !c.metrics_enabled;
-         c.metrics_path = "m.prom";
-       }, nullptr},
       {"timeline",
        [](EvaluationConfig& c, workloads::Workload&) {
          c.timeline_enabled = true;
@@ -421,7 +416,6 @@ TEST(StageKeyTest, EveryResultInputReachesTheFitKey) {
          c.timeline_dir = "tl";
          c.trace_out = "t.json";
          c.watchdog.max_temp_k = 1.0;
-         c.record_intervals = true;
        }, nullptr},
       {"cache dir",
        [](EvaluationConfig& c, workloads::Workload&) {
@@ -617,18 +611,18 @@ TEST(StageStoreTest, CorruptStageFileFallsBackToUpstreamHits) {
 
 TEST(StageStoreTest, RecorderRunsBypassFitCacheButReuseUpstream) {
   EvaluationConfig cfg = quick_config();
-  cfg.record_intervals = true;
+  cfg.timeline_enabled = true;
   obs::MetricsRegistry reg(true);
   const Evaluator ev(cfg, make_store(&reg));
   const workloads::Workload& w = workloads::workload("gcc");
 
   const auto first = ev.evaluate(w, scaling::TechPoint::k180nm);
   const auto second = ev.evaluate(w, scaling::TechPoint::k180nm);
-  // Interval traces are not representable in the fit payload, so recorder
-  // runs never consult the fit cache — but both runs carry the trace, and
-  // the second reuses every upstream stage.
-  EXPECT_FALSE(first.interval_trace.empty());
-  EXPECT_EQ(second.interval_trace.size(), first.interval_trace.size());
+  // Timelines are not representable in the fit payload, so recorder runs
+  // never consult the fit cache — but both runs carry the timeline, and the
+  // second reuses every upstream stage.
+  EXPECT_FALSE(first.timeline.empty());
+  EXPECT_EQ(second.timeline.points.size(), first.timeline.points.size());
   EXPECT_EQ(count(reg, "ramp_stage_fit_hits_total"), 0u);
   EXPECT_EQ(count(reg, "ramp_stage_fit_misses_total"), 0u);
   EXPECT_EQ(count(reg, "ramp_stage_thermal_hits_total"), 1u);

@@ -75,7 +75,6 @@ TEST(TimelineParallelTest, WatchdogTripInEveryCellNeverAbortsTheSweep) {
       ++over_temp;
       EXPECT_EQ(inc.cell, r.timeline.cell);
       EXPECT_GE(inc.points.size(), 1u);
-      EXPECT_GE(inc.spans.size(), 1u);
     }
     EXPECT_EQ(over_temp, 1u) << r.timeline.cell;
   }

@@ -813,7 +813,7 @@ int usage() {
                "--sim-mode detailed|sampled|auto to pick the timing\n"
                "estimator (default detailed; sampled trades <=2%% IPC\n"
                "accuracy for speed, see ramp simcheck). Env equivalents:\n"
-               "RAMP_SIM_MODE, RAMP_SIM_PERIOD/WARMUP/MEASURE.\n");
+               "RAMP_SIM_MODE, RAMP_SIM_PERIOD/WARMUP/MEASURE/WINDOWS.\n");
   return 2;
 }
 
